@@ -243,9 +243,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=["event", "des-heap", "hybrid"],
                    default="event",
                    help="serving engine: 'event' is pure DES on the "
-                        "batched queue (default), 'des-heap' the heap-"
-                        "queue opt-out, 'hybrid' fast-forwards steady-"
-                        "state windows analytically (docs/performance.md)")
+                        "binary-heap queue (default; 'des-heap' is the "
+                        "same engine under its old name), 'hybrid' fast-"
+                        "forwards steady-state windows analytically "
+                        "(docs/performance.md)")
     p.add_argument("--shards", type=int, default=1,
                    help="partition the workload over N lockstep machines "
                         "(repro.sim.shard) instead of one serving run")

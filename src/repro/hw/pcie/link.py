@@ -13,7 +13,7 @@ from repro.sim.events import Event
 from repro.sim.links import DuplexChannel
 from repro.sim.monitor import Counter
 from repro.hw.pcie.config import PCIeLinkSpec
-from repro.hw.pcie.tlp import TLP_HEADER_BYTES, segment_sizes
+from repro.hw.pcie.tlp import TLP_HEADER_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -52,15 +52,26 @@ class PCIeLink:
         Returns the delivery event of the *last* TLP.  A zero-byte
         transfer completes after one propagation delay with no TLPs.
         """
-        if nbytes == 0:
-            last = self.channel.send(0, forward=forward)
-            tlps = 0
+        # One channel send per TLP (a per-instance ``channel.send``
+        # wrapper, such as a fault injector's, sees every TLP), but the
+        # TLP and byte counters are bumped once for the whole burst.
+        send = self.channel.send
+        full, rest = divmod(nbytes, mps)
+        tlps = full + (1 if rest else 0)
+        if tlps == 0:
+            last = send(0, forward=forward)
         else:
-            last = None
-            tlps = 0
-            for size in segment_sizes(nbytes, mps):
-                last = self.send_tlp(size, forward=forward)
-                tlps += 1
+            wire = mps + TLP_HEADER_BYTES
+            for _ in range(full):
+                last = send(wire, forward=forward)
+            if rest:
+                last = send(rest + TLP_HEADER_BYTES, forward=forward)
+            counter = self.tlps_fwd if forward else self.tlps_rev
+            data = self.data_bytes_fwd if forward else self.data_bytes_rev
+            counter.total += tlps
+            counter.events += tlps
+            data.total += nbytes
+            data.events += tlps
         tracer = self.sim.tracer
         if tracer is not None:
             # One span per traversal, not per TLP: delivery time of the

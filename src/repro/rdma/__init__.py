@@ -19,7 +19,8 @@ Quick tour::
 """
 
 from repro.rdma.opcodes import WorkOpcode, CompletionStatus
-from repro.rdma.mr import MemoryRegion, ProtectionDomain, AccessError
+from repro.rdma.mr import (MemoryRegion, ProtectionDomain, AccessError,
+                           SimMemoryExhausted)
 from repro.rdma.cq import CompletionQueue, Completion
 from repro.rdma.qp import QueuePair, QPType, QPState, QPError
 from repro.rdma.srq import SharedReceiveQueue
@@ -32,6 +33,7 @@ __all__ = [
     "MemoryRegion",
     "ProtectionDomain",
     "AccessError",
+    "SimMemoryExhausted",
     "CompletionQueue",
     "Completion",
     "QueuePair",

@@ -1,9 +1,11 @@
 """Protection domains and registered memory regions.
 
-A :class:`MemoryRegion` owns a real ``bytearray`` — applications built
-on the stack (the KV store, the RPC server) move actual data.  Remote
-access is checked against the region's rkey and bounds, mirroring the
-RNIC's protection checks.
+A :class:`MemoryRegion` holds real bytes — applications built on the
+stack (the KV store, the RPC server) move actual data — but only the
+pages that have been written: a region registered over the SoC's whole
+16 GiB costs a few hundred bytes of host memory until it is used.
+Unwritten bytes read as zero.  Remote access is checked against the
+region's rkey and bounds, mirroring the RNIC's protection checks.
 """
 
 from __future__ import annotations
@@ -15,8 +17,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.cluster import Node
 
 
+#: Host bytes backing one page of a region, allocated on first write.
+PAGE_BYTES = 64 * 1024
+
+
 class AccessError(Exception):
     """A remote or local access violated an MR's bounds or key."""
+
+
+class SimMemoryExhausted(MemoryError):
+    """A registration would exceed the simulated node's memory budget.
+
+    A subclass of :class:`MemoryError` so existing handlers still catch
+    it, but distinct from the host running out of memory.
+    """
 
 
 class MemoryRegion:
@@ -29,21 +43,52 @@ class MemoryRegion:
             raise ValueError(f"MR length must be positive: {length}")
         self.node = node
         self.length = length
-        self.buffer = bytearray(length)
+        self._pages: Dict[int, bytearray] = {}
         self.lkey = next(self._keys)
         self.rkey = next(self._keys)
+
+    # -- backing pages -------------------------------------------------------------
+
+    def _store(self, offset: int, data: bytes) -> None:
+        view = memoryview(data)
+        pages = self._pages
+        end = offset + len(view)
+        while offset < end:
+            index, at = divmod(offset, PAGE_BYTES)
+            take = min(PAGE_BYTES - at, end - offset)
+            page = pages.get(index)
+            if page is None:
+                base = index * PAGE_BYTES
+                page = pages[index] = bytearray(
+                    min(PAGE_BYTES, self.length - base))
+            page[at:at + take] = view[:take]
+            view = view[take:]
+            offset += take
+
+    def _load(self, offset: int, length: int) -> bytes:
+        pages = self._pages
+        out = bytearray(length)
+        pos = 0
+        while pos < length:
+            index, at = divmod(offset + pos, PAGE_BYTES)
+            take = min(PAGE_BYTES - at, length - pos)
+            page = pages.get(index)
+            if page is not None:
+                out[pos:pos + take] = page[at:at + take]
+            pos += take
+        return bytes(out)
 
     # -- local access ------------------------------------------------------------
 
     def write_local(self, offset: int, data: bytes) -> None:
         """CPU store into the region."""
         self._check(offset, len(data))
-        self.buffer[offset:offset + len(data)] = data
+        self._store(offset, data)
 
     def read_local(self, offset: int, length: int) -> bytes:
         """CPU load from the region."""
         self._check(offset, length)
-        return bytes(self.buffer[offset:offset + length])
+        return self._load(offset, length)
 
     # -- remote (DMA) access -------------------------------------------------------
 
@@ -51,14 +96,14 @@ class MemoryRegion:
         """Inbound DMA write, rkey-checked."""
         self._check_key(rkey)
         self._check(offset, len(data))
-        self.buffer[offset:offset + len(data)] = data
+        self._store(offset, data)
         self._trace_access("memory_write", "write", len(data))
 
     def dma_read(self, offset: int, length: int, rkey: int) -> bytes:
         """Inbound DMA read, rkey-checked."""
         self._check_key(rkey)
         self._check(offset, length)
-        data = bytes(self.buffer[offset:offset + length])
+        data = self._load(offset, length)
         self._trace_access("memory_read", "read", length)
         return data
 
@@ -105,7 +150,7 @@ class ProtectionDomain:
     def reg_mr(self, length: int) -> MemoryRegion:
         """Register a fresh region, enforcing the node's memory budget."""
         if self._registered + length > self.node.memory_bytes:
-            raise MemoryError(
+            raise SimMemoryExhausted(
                 f"{self.node.name}: registering {length} B exceeds "
                 f"{self.node.memory_bytes} B of node memory")
         region = MemoryRegion(self.node, length)

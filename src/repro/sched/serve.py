@@ -35,6 +35,7 @@ from repro.sched.scheduler import PathScheduler
 from repro.sched.slo import RawWindow, SloTracker
 from repro.stats.kernels import Estimate, batch_means
 from repro.sched.tenant import SloSpec, TenantSpec
+from repro.sim import engine as des_engine
 from repro.telemetry import Telemetry
 from repro.trace.tracer import Tracer
 from repro.units import GB, KB, MB, fmt_ns, to_gbps
@@ -237,15 +238,11 @@ class ServeSession:
         testbed = testbed or paper_testbed()
         n_clients = max(1, sum(1 for t in tenants if not t.bulk))
         self.tenants = tenants
-        # "event" (and "hybrid" on top of it) runs on the time-bucketed
-        # BatchSimulator — exact order parity with the heap queue, ~27%
-        # faster on serving mixes; "des-heap" opts back into the heap.
-        if engine == "des-heap":
-            from repro.sim.engine import Simulator
-            sim = Simulator()
-        else:
-            from repro.sim.batchq import BatchSimulator
-            sim = BatchSimulator()
+        # Every engine runs on the binary-heap Simulator; "des-heap" is
+        # kept as a spelling of "event".  The heap beat the time-bucketed
+        # BatchSimulator on the serving mix (most timestamps hold one
+        # event, so buckets only add dict and sort traffic).
+        sim = des_engine.Simulator()
         # "rnic" builds a host-only machine (no SoC node): the policy
         # sees soc_available=False and terminates everything host-ward.
         self.cluster = SimCluster(testbed, sim=sim, n_clients=n_clients,
@@ -411,10 +408,9 @@ def run_serve(tenants: Sequence[TenantSpec], adaptive: bool = True,
     still count toward per-tenant totals.
 
     ``engine`` selects the execution strategy: ``"event"`` (the default
-    pure DES on the time-bucketed :class:`~repro.sim.batchq.
-    BatchSimulator` queue — bit-identical run to run), ``"des-heap"``
-    (the same DES on the binary-heap queue — the opt-out reference,
-    event-order-identical to ``"event"``) or ``"hybrid"``, which
+    pure DES on the binary-heap :class:`~repro.sim.engine.Simulator` —
+    bit-identical run to run), ``"des-heap"`` (the same engine, kept as
+    an accepted spelling) or ``"hybrid"``, which
     installs a :class:`~repro.sim.hybrid.HybridController` that
     fast-forwards steady-state stretches through the operational-law
     recurrence (exact completion counts, latencies within the declared

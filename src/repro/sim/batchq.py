@@ -15,9 +15,14 @@ timestamp by a firing event*: the remaining batch is re-merged and
 re-sorted so the urgent newcomer still overtakes queued NORMAL events.
 ``tests/sim/test_batchq.py`` fuzzes this equivalence.
 
-The default engine stays the default — pure-DES bit-identity is pinned
-to it — so this class is opt-in for event-dense experiments and the
-DES microbench.
+The serving path no longer uses this class: every serving engine runs
+on the binary-heap :class:`~repro.sim.engine.Simulator`, which measured
+faster on the serving mix (most timestamps there hold a single event,
+so the buckets only add dict and sort traffic).  It stays, fuzzed
+against the heap and pinned bit-identical at the serving level by
+``tests/sched/test_engine_parity.py``, until item 4 of ``ROADMAP.md``
+(one of each mechanism) deletes it together with the benchmark's
+event-ledger import of it.
 """
 
 from __future__ import annotations

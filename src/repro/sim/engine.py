@@ -16,6 +16,8 @@ from repro.sim.process import Process
 _SEQ_BITS = 48
 _SEQ_MASK = (1 << _SEQ_BITS) - 1
 
+_heappush = heapq.heappush
+
 
 class Simulator:
     """A discrete-event simulator with a nanosecond clock.
@@ -72,11 +74,11 @@ class Simulator:
         if event._scheduled:
             raise SimulationError(f"{event!r} already scheduled")
         event._scheduled = True
-        self._seq += 1
-        heapq.heappush(self._queue,
-                       (self._now + delay,
-                        (priority << _SEQ_BITS) | (self._seq & _SEQ_MASK),
-                        event))
+        seq = self._seq + 1
+        self._seq = seq
+        _heappush(self._queue, (self._now + delay,
+                                (priority << _SEQ_BITS) | (seq & _SEQ_MASK),
+                                event))
 
     # -- running -----------------------------------------------------------------
 

@@ -68,13 +68,24 @@ class SimplexChannel:
         """Submit a transfer; the returned event fires at delivery time."""
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
-        start = max(self._free_at, self.sim.now)
-        serialization = nbytes / self.bandwidth
-        self._free_at = start + serialization
-        self.bytes_sent.add(nbytes)
-        self.transfers.add(1)
-        done = Event(self.sim)
-        done.succeed(nbytes, delay=self._free_at + self.latency - self.sim.now)
+        # Called once per TLP: the body is ``Counter.add`` and
+        # ``Event.succeed`` inlined, with the same float arithmetic.
+        sim = self.sim
+        now = sim._now
+        free_at = self._free_at
+        if now > free_at:
+            free_at = now
+        free_at += nbytes / self.bandwidth
+        self._free_at = free_at
+        sent = self.bytes_sent
+        sent.total += nbytes
+        sent.events += 1
+        transfers = self.transfers
+        transfers.total += 1
+        transfers.events += 1
+        done = Event(sim)
+        done._value = nbytes
+        sim._schedule(done, free_at + self.latency - now)
         return done
 
     def utilization(self, elapsed: float) -> float:

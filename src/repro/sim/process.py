@@ -110,4 +110,9 @@ class Process(Event):
             self.fail(SimulationError("yielded an event from another simulator"))
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        # ``target.add_callback(self._resume)``, inlined: once per resume.
+        callbacks = target.callbacks
+        if callbacks is None:
+            self._resume(target)
+        else:
+            callbacks.append(self._resume)

@@ -1,10 +1,14 @@
 """Tests for memory regions, protection domains and completion queues."""
 
+import tracemalloc
+
 import pytest
 
 from repro.net.cluster import SimCluster
 from repro.net.topology import paper_testbed
-from repro.rdma import AccessError, Completion, CompletionQueue, RdmaContext
+from repro.rdma import (AccessError, Completion, CompletionQueue,
+                        RdmaContext, SimMemoryExhausted)
+from repro.rdma.mr import PAGE_BYTES
 from repro.rdma.opcodes import CompletionStatus, WorkOpcode
 
 
@@ -46,8 +50,42 @@ def test_dma_access_requires_rkey(ctx):
 def test_pd_budget_enforced(ctx):
     soc_bytes = ctx.cluster.node("soc").memory_bytes
     ctx.reg_mr("soc", soc_bytes // 2)
-    with pytest.raises(MemoryError):
+    with pytest.raises(SimMemoryExhausted):
         ctx.reg_mr("soc", soc_bytes)
+
+
+def test_full_soc_registration_costs_kilobytes(ctx):
+    """A simulated 16 GiB region must not cost a host allocation of its
+    size: pages are allocated on first write only."""
+    soc_bytes = ctx.cluster.node("soc").memory_bytes
+    assert soc_bytes >= 16 << 30
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mr = ctx.reg_mr("soc", soc_bytes)
+        mr.write_local(soc_bytes - 4, b"tail")
+        mr.dma_write(8 << 30, b"mid", mr.rkey)
+        grown = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 4 * PAGE_BYTES
+    assert mr.read_local(soc_bytes - 6, 6) == b"\0\0tail"
+    assert mr.dma_read(8 << 30, 3, mr.rkey) == b"mid"
+
+
+def test_unwritten_bytes_read_as_zero_across_pages(ctx):
+    mr = ctx.reg_mr("host", 3 * PAGE_BYTES + 100)
+    assert mr.read_local(0, mr.length) == bytes(mr.length)
+    data = bytes(range(256)) * 4
+    start = PAGE_BYTES - 300
+    mr.write_local(start, data)
+    assert mr.read_local(start, len(data)) == data
+    assert mr.read_local(start - 10, 10) == bytes(10)
+    assert mr.read_local(start + len(data), 10) == bytes(10)
+    mr.write_local(mr.length - 5, b"12345")
+    assert mr.read_local(mr.length - 5, 5) == b"12345"
+    with pytest.raises(AccessError):
+        mr.write_local(mr.length - 4, b"12345")
 
 
 def test_pd_dereg_frees_budget(ctx):

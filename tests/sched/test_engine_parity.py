@@ -1,16 +1,20 @@
-"""Serving-engine parity: the batched queue default vs the DES heap.
+"""Serving-engine parity: the heap queue vs the batched queue.
 
-``engine="event"`` now runs on :class:`repro.sim.batchq.BatchSimulator`;
-``engine="des-heap"`` keeps the binary-heap :class:`repro.sim.engine.
-Simulator` as the opt-out reference.  The two must be bit-identical —
-this file is the CI parity gate for the default flip.
+Every serving engine (``"event"``, its spelling ``"des-heap"``, and
+``"hybrid"`` on top of it) runs on the binary-heap
+:class:`repro.sim.engine.Simulator`.  :class:`repro.sim.batchq.
+BatchSimulator` must still reproduce it bit for bit at the serving
+level; these tests swap it in for one of two runs by patching
+``repro.sim.engine.Simulator``, which ``ServeSession`` looks up when it
+builds its cluster.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.faults.plan import FaultPlan, SocCrash
 from repro.sched.serve import ServeSession, mixed_tenant_workload, run_serve
+from repro.sim import engine
 from repro.sim.batchq import BatchSimulator
 from repro.sim.engine import Simulator
 
@@ -21,13 +25,24 @@ def _key(report):
             for name, t in report.tenants.items()}
 
 
-def test_default_engine_is_the_batched_queue():
+def _run_batched(monkeypatch, *args, **kwargs):
+    """``run_serve`` with the batched queue in place of the heap."""
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "Simulator", BatchSimulator)
+        return run_serve(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["event", "des-heap", "hybrid"])
+def test_every_engine_runs_on_the_heap_queue(name):
+    session = ServeSession(mixed_tenant_workload(duration_ns=50_000.0),
+                           engine=name)
+    assert type(session.cluster.sim) is Simulator
+
+
+def test_batched_queue_swaps_in_through_the_engine_module(monkeypatch):
+    monkeypatch.setattr(engine, "Simulator", BatchSimulator)
     session = ServeSession(mixed_tenant_workload(duration_ns=50_000.0))
-    assert isinstance(session.cluster.sim, BatchSimulator)
-    heap = ServeSession(mixed_tenant_workload(duration_ns=50_000.0),
-                        engine="des-heap")
-    assert isinstance(heap.cluster.sim, Simulator)
-    assert type(heap.cluster.sim) is not BatchSimulator
+    assert type(session.cluster.sim) is BatchSimulator
 
 
 def test_unknown_engine_rejected():
@@ -36,15 +51,17 @@ def test_unknown_engine_rejected():
                   engine="warp-drive")
 
 
-@settings(max_examples=4, deadline=None)
+@settings(max_examples=4, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(min_value=0, max_value=40))
-def test_batch_and_heap_engines_bit_identical(seed):
+def test_batch_and_heap_engines_bit_identical(monkeypatch, seed):
     """Property: across stream seeds, the batched queue reproduces the
     heap engine bit-for-bit — counts, latencies and decision log."""
-    batch = run_serve(mixed_tenant_workload(duration_ns=400_000.0,
-                                            seed=seed))
     heap = run_serve(mixed_tenant_workload(duration_ns=400_000.0,
-                                           seed=seed), engine="des-heap")
+                                           seed=seed))
+    batch = _run_batched(monkeypatch,
+                         mixed_tenant_workload(duration_ns=400_000.0,
+                                               seed=seed))
     assert _key(batch) == _key(heap)
     assert [d.as_tuple() for d in batch.decisions] \
         == [d.as_tuple() for d in heap.decisions]
@@ -52,12 +69,14 @@ def test_batch_and_heap_engines_bit_identical(seed):
     assert batch.elapsed_ns == heap.elapsed_ns
 
 
-def test_parity_holds_under_faults():
+def test_parity_holds_under_faults(monkeypatch):
     plan = FaultPlan(faults=(SocCrash(at=150_000.0),))
-    batch = run_serve(mixed_tenant_workload(duration_ns=500_000.0, seed=3),
-                      faults=plan)
     heap = run_serve(mixed_tenant_workload(duration_ns=500_000.0, seed=3),
-                     faults=plan, engine="des-heap")
+                     faults=plan)
+    batch = _run_batched(monkeypatch,
+                         mixed_tenant_workload(duration_ns=500_000.0,
+                                               seed=3),
+                         faults=plan)
     assert _key(batch) == _key(heap)
     assert [d.as_tuple() for d in batch.decisions] \
         == [d.as_tuple() for d in heap.decisions]
