@@ -9,7 +9,6 @@ string spellings (``"snic-1"``, ``"1"``, ``"read"``).
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional, Sequence, Union
 
 from repro.core.advisor import Advisor, OffloadPlan, WorkloadProfile
@@ -28,11 +27,6 @@ _PATHS: Dict[str, CommPath] = {p.value: p for p in CommPath}
 _PATHS.update({p.name.lower(): p for p in CommPath})
 _PATHS.update({"1": CommPath.SNIC1, "2": CommPath.SNIC2,
                "3": CommPath.SNIC3_H2S})
-
-#: One-shot latch for the serve_sharded deprecation (module-level, so
-#: it fires once per process, not once per Session — mirroring the
-#: import-time shim in repro.core.bench).
-_SERVE_SHARDED_WARNED = False
 
 
 def _coerce_path(path: PathLike) -> CommPath:
@@ -221,29 +215,3 @@ class Session:
         if "jobs" not in kwargs and self.options.jobs:
             kwargs["jobs"] = self.options.jobs
         return run_cluster(scenario, testbed=self.testbed, **kwargs)
-
-    def serve_sharded(self, plan, **kwargs):
-        """Deprecated: run a raw shard plan (use :meth:`serve_cluster`).
-
-        Hand-built :class:`~repro.sim.shard.ShardPlan` execution
-        predates the declarative cluster API; scenarios expressed as
-        documents get placement, the LB tier, population traffic and
-        cluster scheduling on top of the same lockstep executor.  This
-        method remains a thin alias of
-        :func:`repro.sim.shard.run_sharded` for plans that need exact
-        shard control; it warns once per process.
-        """
-        from repro.sim.shard import run_sharded
-
-        global _SERVE_SHARDED_WARNED
-        if not _SERVE_SHARDED_WARNED:
-            _SERVE_SHARDED_WARNED = True
-            warnings.warn(
-                "Session.serve_sharded is deprecated; describe the rack "
-                "as a ClusterScenario and call Session.serve_cluster "
-                "(raw ShardPlans can still run via "
-                "repro.sim.shard.run_sharded)",
-                DeprecationWarning, stacklevel=2)
-        if "engine" not in kwargs and self.options.engine == "hybrid":
-            kwargs["engine"] = "hybrid"
-        return run_sharded(plan, testbed=self.testbed, **kwargs)

@@ -251,8 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="partition the workload over N lockstep machines "
                         "(repro.sim.shard) instead of one serving run")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for --shards > 1 "
-                        "(default: one per shard; 1 = in-process)")
+                   help="with --shards > 1: 1 runs every shard in this "
+                        "process; any other value (the default) runs one "
+                        "worker process per shard")
     p.add_argument("--cross-traffic", action="store_true",
                    help="with --shards > 1: bulk tenants ship their "
                         "completions to the next machine over the "

@@ -160,12 +160,8 @@ class SweepRunner:
     has at least two points, scalar otherwise.  ``"hybrid"`` behaves
     like ``"auto"`` for solver work — it exists so one
     :class:`~repro.core.options.RunOptions` can also select the
-    analytic/DES serving engine (see docs/performance.md).
-    ``vectorized=True`` is
-    accepted as a deprecated alias for ``engine="vector"`` (it warns;
-    use ``engine=`` or :class:`~repro.core.options.RunOptions`).  All
-    backends return
-    numerically identical results in identical order.
+    analytic/DES serving engine (see docs/performance.md).  All
+    backends return numerically identical results in identical order.
 
     ``jobs <= 1`` keeps scalar evaluation in-process (what the
     cache-correctness guarantees are stated against); ``jobs > 1``
@@ -175,18 +171,9 @@ class SweepRunner:
 
     def __init__(self, testbed: Testbed, jobs: int = 0,
                  chunk_size: Optional[int] = None, engine: str = "auto",
-                 vectorized: Optional[bool] = None,
                  timings: Optional[StageTimings] = None):
         if jobs < 0:
             raise ValueError(f"jobs must be >= 0: {jobs}")
-        if vectorized is not None:
-            import warnings
-
-            warnings.warn(
-                "SweepRunner(vectorized=...) is deprecated; pass "
-                "engine='vector'/'scalar' (or a RunOptions)",
-                DeprecationWarning, stacklevel=2)
-            engine = "vector" if vectorized else "scalar"
         if engine not in ENGINES:
             raise ValueError(f"unknown engine: {engine!r} "
                              f"(expected one of {ENGINES})")

@@ -19,7 +19,6 @@ Two modes:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -80,21 +79,6 @@ class ServeReport:
     #: ``(arrivals, completed, rejected, lost, in_flight)``.
     conservation: Dict[str, Tuple[int, int, int, int, int]] = field(
         default_factory=dict)
-
-    @property
-    def worst_p99_ns(self) -> float:
-        """Deprecated bare point estimate — use :meth:`worst_p99`.
-
-        The windowed archive lets the report quote the worst tenant's
-        p99 as a mean ± CI over warm windows instead of a single order
-        statistic; this property remains for callers that predate the
-        stats layer.
-        """
-        warnings.warn(
-            "ServeReport.worst_p99_ns is a single-run point estimate; "
-            "use ServeReport.worst_p99() for a mean ± CI Estimate",
-            DeprecationWarning, stacklevel=2)
-        return max((t.p99_ns for t in self.tenants.values()), default=0.0)
 
     def p99(self, tenant: str, confidence: float = 0.95) -> Estimate:
         """Batch-means estimate of the tenant's per-window p99 (ns)."""

@@ -16,9 +16,13 @@ at their physical delivery instants.  The **one-window delivery
 guarantee** — a message sent in window *W* is delivered in window
 *W+1* — holds iff every inter-shard link latency is at least
 ``sync_window_ns``; :func:`run_sharded` validates exactly that.
-``jobs=1`` runs the same lockstep (and the same barrier exchange)
-in-process — the bit-identity reference for the multiprocess path,
-asserted by ``tests/sim/test_shard.py``.
+
+One supervised driver runs the lockstep over two transports: with
+``jobs=1`` (or a one-shard plan) every shard's session lives in the
+parent; any other ``jobs`` value runs one worker process per shard,
+reached over a pipe.  Both transports answer commands with the same
+:func:`_serve`, so ``jobs=1`` is the bit-identity reference for the
+worker path, asserted by ``tests/sim/test_shard.py``.
 
 Cluster-scale chaos layers on top (``docs/robustness.md``):
 
@@ -29,13 +33,13 @@ Cluster-scale chaos layers on top (``docs/robustness.md``):
   is a pure hash of the plan seed and message identity, so ``jobs=N``
   stays bit-identical to ``jobs=1`` under any plan and an *empty* plan
   is bit-identical to no plan at all;
-* the multiprocess driver is a **supervisor**: worker death and
-  barrier stalls are detected (pipe EOF / poll timeout), the failed
-  worker is respawned, and the :class:`~repro.sim.supervise.WindowLog`
-  — the per-window inbound-message journal, which together with the
-  shard spec fully determines worker state — is replayed into it,
-  landing bit-identical to the worker that died.  The same log
-  serializes to disk for cross-process checkpoint/resume;
+* the driver is a **supervisor**: a dead or stalled shard (pipe EOF
+  or poll timeout for a worker, a discarded session in-process) is
+  restarted, and the :class:`~repro.sim.supervise.WindowLog` — the
+  per-window inbound-message journal, which together with the shard
+  spec fully determines shard state — is replayed into it, landing
+  bit-identical to the shard that died.  The same log serializes to
+  disk for cross-process checkpoint/resume;
 * a :class:`~repro.sim.supervise.ConservationWatchdog` audits every
   window of every sharded run: per-tenant arrivals must equal
   completed + rejected + lost + in-flight, and every fabric message
@@ -244,38 +248,49 @@ def _make_session(shard: ShardSpec, serve_kwargs: dict,
                         nic=shard.nic, **serve_kwargs)
 
 
+def _serve(session: ServeSession, message: tuple) -> tuple:
+    """Answer one lockstep command: the whole shard protocol.
+
+    ``("advance", barrier, inbound)`` delivers the shard's routed
+    inbound messages, runs it to the barrier and replies with its
+    drained state, its channel's idleness, the window's outbox and the
+    heartbeat digest for the conservation watchdog.  ``("report",)``
+    finalizes the session.  Both transports call this, so a worker
+    process runs exactly the code that ``jobs=1`` runs.
+    """
+    if message[0] == "advance":
+        _cmd, barrier, inbound = message
+        channel = session.channel
+        if channel is not None and inbound:
+            channel.deliver(inbound)
+        done = session.advance(barrier)
+        outbox = channel.collect() if channel is not None else []
+        idle = channel.idle if channel is not None else True
+        return ("ok", done, idle, outbox, session.heartbeat())
+    if message[0] == "report":
+        return ("report", session.finalize(), session.tracker)
+    raise ValueError(f"unknown command {message[0]!r}")  # pragma: no cover
+
+
 def _shard_worker(conn, shard: ShardSpec, serve_kwargs: dict,
                   topology: Optional[ShardTopology],
                   injector: Optional[ClusterInjector] = None,
                   fault_timeout_ns: Optional[float] = None) -> None:
-    """Child-process loop: advance on command, report when asked.
+    """Child-process loop: answer each command with :func:`_serve`
+    until the report is sent.
 
-    Each ``advance`` carries the barrier and this shard's routed
-    inbound messages; the reply carries the session's drained state,
-    the channel's idleness, the window's outbox, and the heartbeat
-    digest for the conservation watchdog.  A worker-side exception is
-    shipped to the parent with the shard name and the full traceback,
-    so a crashed shard is attributable without re-running.
+    A worker-side exception is shipped to the parent with the shard
+    name and the full traceback, so a crashed shard is attributable
+    without re-running.
     """
     try:
         session = _make_session(shard, serve_kwargs, topology,
                                 injector, fault_timeout_ns)
-        channel = session.channel
         while True:
-            message = conn.recv()
-            if message[0] == "advance":
-                _cmd, barrier, inbound = message
-                if channel is not None and inbound:
-                    channel.deliver(inbound)
-                done = session.advance(barrier)
-                outbox = channel.collect() if channel is not None else []
-                idle = channel.idle if channel is not None else True
-                conn.send(("ok", done, idle, outbox, session.heartbeat()))
-            elif message[0] == "report":
-                conn.send(("report", session.finalize(), session.tracker))
+            reply = _serve(session, conn.recv())
+            conn.send(reply)
+            if reply[0] == "report":
                 return
-            else:  # pragma: no cover - protocol misuse
-                raise ValueError(f"unknown command {message[0]!r}")
     except Exception:  # pragma: no cover - surfaced in parent
         try:
             conn.send(("error", shard.name, traceback.format_exc()))
@@ -316,7 +331,103 @@ def _wedged(done: Sequence[bool], idle: Sequence[bool],
 
 
 class _WorkerGone(Exception):
-    """A worker died or stalled — respawnable, unlike a worker error."""
+    """A shard died or stalled — restartable, unlike a worker error."""
+
+
+class _LocalShard:
+    """A shard whose session lives in the parent (``jobs=1``).
+
+    :meth:`post` only queues the command; :meth:`reply` runs it, so the
+    shards of a round execute one after another in shard order.
+    """
+
+    def __init__(self, *spec):
+        self._spec = spec
+        self._message = None
+        self.restart()
+
+    def post(self, message: tuple) -> None:
+        self._message = message
+
+    def reply(self) -> tuple:
+        if self._session is None:
+            raise _WorkerGone("session discarded")
+        return _serve(self._session, self._message)
+
+    def restart(self) -> None:
+        self._session = _make_session(*self._spec)
+
+    def kill(self) -> Optional[str]:
+        self._session = None
+        return "session discarded"
+
+    def close(self) -> None:
+        pass
+
+
+class _WorkerShard:
+    """A shard on its own worker process, reached over a pipe.
+
+    A reply that does not arrive within ``exchange_timeout_s``, or a
+    closed pipe, raises :class:`_WorkerGone`; an exception shipped by
+    the worker is deterministic (a restart would replay straight into
+    it) and surfaces as :class:`ShardWorkerError` with its traceback.
+    """
+
+    def __init__(self, cfg: SupervisorConfig, shard: ShardSpec, *rest):
+        self._cfg = cfg
+        self._args = (shard, *rest)
+        self._spawn()
+
+    def _spawn(self) -> None:
+        ctx = multiprocessing.get_context()
+        parent_conn, child_conn = ctx.Pipe()
+        self.proc = ctx.Process(target=_shard_worker,
+                                args=(child_conn, *self._args), daemon=True)
+        self.proc.start()
+        child_conn.close()
+        self.conn = parent_conn
+
+    def post(self, message: tuple) -> None:
+        try:
+            self.conn.send(message)
+        except (BrokenPipeError, OSError):
+            pass                   # death surfaces on the reply side
+
+    def reply(self) -> tuple:
+        timeout = self._cfg.exchange_timeout_s
+        try:
+            if not self.conn.poll(timeout):
+                state = ("alive but stalled" if self.proc.is_alive()
+                         else "dead")
+                raise _WorkerGone(f"no barrier reply within {timeout:g}s "
+                                  f"(process {state})")
+            reply = self.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise _WorkerGone(f"pipe to worker closed: {exc!r}")
+        if reply[0] == "error":
+            raise ShardWorkerError(reply[1], reply[2])
+        return reply
+
+    def restart(self) -> None:
+        if self.proc.is_alive():
+            self.proc.terminate()
+        self.close()
+        self._spawn()
+
+    def kill(self) -> Optional[str]:
+        if not self.proc.is_alive():
+            return None
+        self.proc.kill()
+        return "SIGKILL"
+
+    def close(self) -> None:
+        try:
+            self.conn.close()
+        except OSError:
+            pass
+        _reap_worker(self.proc, self._args[0].name,
+                     self._cfg.join_timeout_s, self._cfg.kill_grace_s)
 
 
 def _controller_step(controller, router, injector, barrier: float,
@@ -343,66 +454,90 @@ def _controller_step(controller, router, injector, barrier: float,
         router.route(messages)
 
 
-def _run_lockstep_inprocess(shards: Sequence[ShardSpec],
-                            serve_kwargs: dict, sync_window_ns: float,
-                            topology: Optional[ShardTopology],
-                            injector: Optional[ClusterInjector],
-                            fault_timeout_ns: Optional[float],
-                            config: Optional[SupervisorConfig],
-                            log: WindowLog, incidents: IncidentLog,
-                            resumed: bool, controller=None):
-    cfg = config if config is not None else SupervisorConfig()
-    names = [shard.name for shard in shards]
-    by_name = {shard.name: shard for shard in shards}
-    sessions = {name: _make_session(by_name[name], serve_kwargs, topology,
-                                    injector, fault_timeout_ns)
-                for name in names}
-    router = ShardRouter(topology) if topology is not None else None
+def _run_lockstep(endpoints: Sequence, names: Sequence[str],
+                  sync_window_ns: float, router: Optional[ShardRouter],
+                  injector: Optional[ClusterInjector],
+                  cfg: SupervisorConfig, log: WindowLog,
+                  incidents: IncidentLog, resumed: bool, controller=None):
+    """Drive the shards' endpoints through the lockstep to completion.
+
+    Each endpoint (:class:`_LocalShard` or :class:`_WorkerShard`) takes
+    a command with ``post`` and answers it with ``reply``; a
+    :class:`_WorkerGone` from ``reply`` is supervised here the same way
+    for both: restart, replay the window log, re-post, await again.
+    Returns the per-shard reports and SLO trackers.
+    """
+    n = len(endpoints)
     watchdog = ConservationWatchdog()
     heartbeats: Dict[str, dict] = {}
+    done = [False] * n
+    idle = [True] * n
 
-    def replay_one(name: str,
-                   windows: Sequence[Tuple[float, dict]]) -> ServeSession:
-        # A ServeSession is a pure function of its spec, so a fresh one
-        # re-living the logged windows is bit-identical to the one that
-        # was killed.  Outboxes are discarded: the router already saw
-        # them.
-        session = _make_session(by_name[name], serve_kwargs, topology,
-                                injector, fault_timeout_ns)
-        for barrier_k, inbound_k in windows:
-            if session.channel is not None and inbound_k.get(name):
-                session.channel.deliver(inbound_k[name])
-            session.advance(barrier_k)
-            if session.channel is not None:
-                session.channel.collect()
-        return session
+    def await_reply(i: int, message: tuple, window_no: int,
+                    lived: int) -> tuple:
+        """Await shard ``i``'s reply to ``message``, which it received
+        after living through the first ``lived`` logged windows.  A dead
+        or stalled shard is restarted, re-lives those windows (each
+        replayed window supervised the same way; its outbox is
+        discarded, the router already saw it) and gets ``message``
+        again."""
+        endpoint = endpoints[i]
+        while True:
+            try:
+                return endpoint.reply()
+            except _WorkerGone as failure:
+                incidents.record("respawn", names[i], window_no, str(failure))
+                if incidents.respawns > cfg.max_respawns:
+                    raise ShardWorkerError(
+                        names[i], f"respawn budget ({cfg.max_respawns}) "
+                                  f"exhausted; last failure: {failure}")
+                endpoint.restart()
+                for k in range(lived):
+                    barrier_k, inbound_k = log.windows[k]
+                    replayed = ("advance", barrier_k,
+                                inbound_k.get(names[i], []))
+                    endpoint.post(replayed)
+                    await_reply(i, replayed, window_no, k)
+                endpoint.post(message)
 
-    def route_window(barrier_now: float) -> bool:
-        """Collect + route every channel's outbox; True if any moved."""
-        moved_here = False
-        for name in names:
-            channel = sessions[name].channel
-            if channel is None:
-                continue
-            outbox = channel.collect()
-            moved_here = moved_here or bool(outbox)
-            if injector is not None:
-                outbox = injector.apply_outbox(outbox)
+    def run_window(window_no: int, barrier: float, inbound: Dict[str, list],
+                   victim: Optional[str] = None) -> bool:
+        """One barrier round; True if any shard sent a message.
+
+        Every live shard gets the new horizon (and its inbound messages)
+        before any reply is awaited, so worker shards advance in
+        parallel; the chaos hook kills ``victim`` in between.  Outboxes
+        are routed in shard order, then the controller steps and the
+        watchdog audits the closed window.
+        """
+        messages = {i: ("advance", barrier, inbound.get(name, []))
+                    for i, name in enumerate(names)
+                    if router is not None or not done[i]}
+        for i, message in messages.items():
+            endpoints[i].post(message)
+        if victim is not None:
+            how = endpoints[names.index(victim)].kill()
+            if how is not None:
+                incidents.record("kill-injected", victim, window_no,
+                                 f"chaos hook: {how}")
+        moved = False
+        for i, message in messages.items():
+            reply = await_reply(i, message, window_no, window_no - 1)
+            _tag, done[i], idle[i], outbox, heartbeats[names[i]] = reply
             if outbox:
-                router.route(outbox)
-        return moved_here
-
-    def audit(barrier_now: float, window_now: int) -> None:
-        for name in names:
-            heartbeats[name] = sessions[name].heartbeat()
-        _controller_step(controller, router, injector, barrier_now,
-                         window_now, heartbeats,
-                         {name: sessions[name].done for name in names})
+                moved = True
+                if injector is not None:
+                    outbox = injector.apply_outbox(outbox)
+                if router is not None and outbox:
+                    router.route(outbox)
+        _controller_step(controller, router, injector, barrier, window_no,
+                         heartbeats, dict(zip(names, done)))
         watchdog.check(
-            barrier_now, heartbeats,
+            barrier, heartbeats,
             router.pending_count if router is not None else 0,
             injector.dropped if injector is not None else 0,
             injected=controller.ctl_sent if controller is not None else 0)
+        return moved
 
     barrier = 0.0
     window_no = 0
@@ -412,16 +547,9 @@ def _run_lockstep_inprocess(shards: Sequence[ShardSpec],
         # taking-and-discarding the regenerated inboxes) rebuilds the
         # router contents and the injector counters exactly.
         last = len(log.windows) - 1
-        for k, (barrier_k, inbound_k) in enumerate(log.windows):
-            window_no += 1
-            barrier = barrier_k
-            for name in names:
-                session = sessions[name]
-                if session.channel is not None and inbound_k.get(name):
-                    session.channel.deliver(inbound_k[name])
-                session.advance(barrier_k)
-            route_window(barrier_k)
-            audit(barrier_k, window_no)
+        for k, (barrier, inbound) in enumerate(log.windows):
+            window_no = k + 1
+            run_window(window_no, barrier, inbound)
             if k < last and router is not None:
                 next_barrier = log.windows[k + 1][0]
                 for name in names:
@@ -429,17 +557,11 @@ def _run_lockstep_inprocess(shards: Sequence[ShardSpec],
                     if injector is not None:
                         injector.shuffle_inbox(name, next_barrier, inbox)
 
-    while True:
-        done_flags = [sessions[name].done for name in names]
-        idle_flags = [sessions[name].channel.idle
-                      if sessions[name].channel is not None else True
-                      for name in names]
-        if all(done_flags) and all(idle_flags) and (
-                router is None or not router.in_flight):
-            break
+    while not (all(done) and all(idle)
+               and (router is None or not router.in_flight)):
         window_no += 1
         barrier += sync_window_ns
-        inbound: Dict[str, list] = {}
+        inbound = {}
         moved = False
         for name in names:
             inbox = router.take(name) if router is not None else []
@@ -450,251 +572,18 @@ def _run_lockstep_inprocess(shards: Sequence[ShardSpec],
         log.record(barrier, inbound)
         if cfg.checkpoint_dir and window_no % cfg.checkpoint_every == 0:
             log.save(cfg.checkpoint_dir)
-        if cfg.kill_shard is not None and window_no == cfg.kill_window:
-            # Chaos hook, in-process flavor: throw the victim's session
-            # away and rebuild it from the window log — exactly the
-            # replay the multiprocess supervisor performs on a worker
-            # death, minus the process machinery.
-            incidents.record("kill-injected", cfg.kill_shard, window_no,
-                             "chaos hook: session discarded")
-            incidents.record("respawn", cfg.kill_shard, window_no,
-                             "rebuilt from the window log")
-            sessions[cfg.kill_shard] = replay_one(cfg.kill_shard,
-                                                  log.windows[:-1])
-        for name in names:
-            session = sessions[name]
-            if session.channel is not None and inbound[name]:
-                session.channel.deliver(inbound[name])
-            session.advance(barrier)
-        moved = route_window(barrier) or moved
-        audit(barrier, window_no)
-        if router is not None and _wedged(
-                [sessions[name].done for name in names],
-                [sessions[name].channel.idle for name in names],
-                router, moved):
-            raise FabricWedgedError(
-                done={name: sessions[name].done for name in names},
-                idle={name: sessions[name].channel.idle for name in names},
-                pending=router.pending_by_shard())
+        victim = cfg.kill_shard if window_no == cfg.kill_window else None
+        moved = run_window(window_no, barrier, inbound, victim) or moved
+        if router is not None and _wedged(done, idle, router, moved):
+            raise FabricWedgedError(done=dict(zip(names, done)),
+                                    idle=dict(zip(names, idle)),
+                                    pending=router.pending_by_shard())
     watchdog.assert_drained(barrier, heartbeats)
-    return ([sessions[name].finalize() for name in names],
-            [sessions[name].tracker for name in names])
-
-
-def _run_lockstep_multiprocess(shards: Sequence[ShardSpec],
-                               serve_kwargs: dict, sync_window_ns: float,
-                               jobs: int,
-                               topology: Optional[ShardTopology],
-                               injector: Optional[ClusterInjector],
-                               fault_timeout_ns: Optional[float],
-                               config: Optional[SupervisorConfig],
-                               log: WindowLog, incidents: IncidentLog,
-                               resumed: bool, controller=None):
-    cfg = config if config is not None else SupervisorConfig()
-    ctx = multiprocessing.get_context()
-    router = ShardRouter(topology) if topology is not None else None
-    watchdog = ConservationWatchdog()
-    names = [shard.name for shard in shards]
-    n = len(shards)
-    procs: List = [None] * n
-    conns: List = [None] * n
-    heartbeats: Dict[str, dict] = {}
-
-    def spawn(i: int) -> None:
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(target=_shard_worker,
-                           args=(child_conn, shards[i], serve_kwargs,
-                                 topology, injector, fault_timeout_ns),
-                           daemon=True)
-        proc.start()
-        child_conn.close()
-        procs[i], conns[i] = proc, parent_conn
-
-    def send(i: int, message: tuple) -> None:
-        try:
-            conns[i].send(message)
-        except (BrokenPipeError, OSError):
-            pass                   # death surfaces on the recv side
-
-    def recv(i: int) -> tuple:
-        proc, conn = procs[i], conns[i]
-        try:
-            if not conn.poll(cfg.exchange_timeout_s):
-                state = ("alive but stalled" if proc.is_alive()
-                         else "dead")
-                raise _WorkerGone(
-                    f"no barrier reply within {cfg.exchange_timeout_s:g}s "
-                    f"(process {state})")
-            reply = conn.recv()
-        except (EOFError, OSError) as exc:
-            raise _WorkerGone(f"pipe to worker closed: {exc!r}")
-        if reply[0] == "error":
-            # A worker-side exception is deterministic: a respawn would
-            # replay straight into it.  Surface it with its traceback.
-            raise ShardWorkerError(reply[1], reply[2])
-        return reply
-
-    def respawn(i: int, prefix: Sequence[Tuple[float, dict]],
-                failure: _WorkerGone, window_no: int) -> None:
-        name = names[i]
-        incidents.record("respawn", name, window_no, str(failure))
-        if incidents.respawns > cfg.max_respawns:
-            raise ShardWorkerError(
-                name, f"respawn budget ({cfg.max_respawns}) exhausted; "
-                      f"last failure: {failure}")
-        try:
-            conns[i].close()
-        except OSError:
-            pass
-        if procs[i].is_alive():
-            procs[i].terminate()
-        _reap_worker(procs[i], name, cfg.join_timeout_s, cfg.kill_grace_s)
-        spawn(i)
-        # Deterministic replay: the fresh worker re-lives every logged
-        # window; its state after the last equals the lost worker's at
-        # its final barrier.  Outboxes are discarded — the router
-        # already routed (or delivered) them.
-        for barrier_k, inbound_k in prefix:
-            send(i, ("advance", barrier_k, inbound_k.get(name, [])))
-            recv(i)
-
-    def exchange(i: int, barrier: float, window_no: int,
-                 prefix: Sequence[Tuple[float, dict]],
-                 current: Dict[str, list]) -> tuple:
-        """Await window ``window_no``'s reply, supervising the worker:
-        death or stall → respawn, replay ``prefix``, re-advance with
-        ``current``, and await again."""
-        while True:
-            try:
-                return recv(i)
-            except _WorkerGone as failure:
-                respawn(i, prefix, failure, window_no)
-                send(i, ("advance", barrier, current.get(names[i], [])))
-
-    try:
-        for i in range(n):
-            spawn(i)
-        done = [False] * n
-        idle = [True] * n
-        barrier = 0.0
-        window_no = 0
-        if resumed:
-            # Catch every worker up to the checkpoint; routing each
-            # window's surviving outboxes (and discarding the
-            # regenerated inboxes — the log holds them verbatim)
-            # rebuilds the router and injector counters exactly.
-            last = len(log.windows) - 1
-            for k, (barrier_k, inbound_k) in enumerate(log.windows):
-                window_no += 1
-                barrier = barrier_k
-                for i in range(n):
-                    send(i, ("advance", barrier_k,
-                             inbound_k.get(names[i], [])))
-                for i in range(n):
-                    reply = exchange(i, barrier_k, window_no,
-                                     log.windows[:k], inbound_k)
-                    _tag, done[i], idle[i], outbox, beat = reply
-                    heartbeats[names[i]] = beat
-                    if injector is not None:
-                        outbox = injector.apply_outbox(outbox)
-                    if router is not None and outbox:
-                        router.route(outbox)
-                _controller_step(controller, router, injector, barrier_k,
-                                 window_no, heartbeats,
-                                 dict(zip(names, done)))
-                watchdog.check(
-                    barrier_k, heartbeats,
-                    router.pending_count if router is not None else 0,
-                    injector.dropped if injector is not None else 0,
-                    injected=(controller.ctl_sent
-                              if controller is not None else 0))
-                if k < last and router is not None:
-                    next_barrier = log.windows[k + 1][0]
-                    for name in names:
-                        inbox = router.take(name)
-                        if injector is not None:
-                            injector.shuffle_inbox(name, next_barrier, inbox)
-
-        while True:
-            if all(done) and all(idle) and (router is None
-                                            or not router.in_flight):
-                break
-            window_no += 1
-            barrier += sync_window_ns
-            inbound: Dict[str, list] = {}
-            moved = False
-            for i, name in enumerate(names):
-                inbox = router.take(name) if router is not None else []
-                if injector is not None:
-                    inbox = injector.shuffle_inbox(name, barrier, inbox)
-                inbound[name] = inbox
-                moved = moved or bool(inbox)
-            log.record(barrier, inbound)
-            if cfg.checkpoint_dir and window_no % cfg.checkpoint_every == 0:
-                log.save(cfg.checkpoint_dir)
-            # One barrier round: every live shard gets the new horizon
-            # (and its inbound messages) before any reply is awaited,
-            # so shards advance in parallel.
-            live = []
-            for i, name in enumerate(names):
-                if router is None and done[i]:
-                    continue        # independent shard fully drained
-                send(i, ("advance", barrier, inbound[name]))
-                live.append(i)
-            if cfg.kill_shard is not None and window_no == cfg.kill_window:
-                victim = names.index(cfg.kill_shard)
-                if procs[victim].is_alive():
-                    incidents.record("kill-injected", cfg.kill_shard,
-                                     window_no, "chaos hook: SIGKILL")
-                    procs[victim].kill()
-            for i in live:
-                reply = exchange(i, barrier, window_no,
-                                 log.windows[:-1], inbound)
-                _tag, done[i], idle[i], outbox, beat = reply
-                heartbeats[names[i]] = beat
-                if outbox:
-                    moved = True
-                    if injector is not None:
-                        outbox = injector.apply_outbox(outbox)
-                    if router is not None and outbox:
-                        router.route(outbox)
-            _controller_step(controller, router, injector, barrier,
-                             window_no, heartbeats, dict(zip(names, done)))
-            watchdog.check(
-                barrier, heartbeats,
-                router.pending_count if router is not None else 0,
-                injector.dropped if injector is not None else 0,
-                injected=(controller.ctl_sent
-                          if controller is not None else 0))
-            if router is not None and _wedged(done, idle, router, moved):
-                raise FabricWedgedError(
-                    done=dict(zip(names, done)),
-                    idle=dict(zip(names, idle)),
-                    pending=router.pending_by_shard())
-        watchdog.assert_drained(barrier, heartbeats)
-        reports: List = [None] * n
-        trackers: List = [None] * n
-        for i in range(n):
-            send(i, ("report",))
-            while True:
-                try:
-                    reply = recv(i)
-                    break
-                except _WorkerGone as failure:
-                    respawn(i, log.windows, failure, window_no)
-                    send(i, ("report",))
-            _tag, reports[i], trackers[i] = reply
-        return reports, trackers
-    finally:
-        for i in range(n):
-            if procs[i] is None:
-                continue
-            try:
-                conns[i].close()
-            except OSError:
-                pass
-            _reap_worker(procs[i], names[i],
-                         cfg.join_timeout_s, cfg.kill_grace_s)
+    for endpoint in endpoints:
+        endpoint.post(("report",))
+    replies = [await_reply(i, ("report",), window_no, window_no)
+               for i in range(n)]
+    return ([reply[1] for reply in replies], [reply[2] for reply in replies])
 
 
 def merge_reports(reports: Sequence[ServeReport],
@@ -760,8 +649,11 @@ def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
                 controller=None, **serve_kwargs) -> ServeReport:
     """Execute a shard plan and return the merged report.
 
-    ``jobs`` — worker processes (``None``/0 → one per shard; 1 → the
-    in-process reference execution).  ``sync_window_ns`` defaults to
+    ``jobs`` picks the transport, not a worker count: 1 (or less)
+    runs every shard in this process, the bit-identity reference;
+    ``None``, 0 or any value above 1 runs one worker process per shard,
+    however many that is.  A one-shard plan always runs in-process.
+    ``sync_window_ns`` defaults to
     200 µs for independent shards, and to the topology's tightest
     *machine-to-machine* link latency when the plan carries cross-shard
     traffic — LB links are excluded because the LB only originates
@@ -781,10 +673,10 @@ def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
     ``trace=True`` is rejected: tracers do not serialize across
     process boundaries.
 
-    ``supervisor`` configures worker supervision, checkpointing, chaos
+    ``supervisor`` configures shard supervision, checkpointing, chaos
     kills and incident reporting
-    (:class:`~repro.sim.supervise.SupervisorConfig`); multiprocess runs
-    are supervised with the defaults even when it is omitted.  The
+    (:class:`~repro.sim.supervise.SupervisorConfig`); both transports
+    are supervised, with the defaults when it is omitted.  The
     plan's ``cluster_faults`` arm the
     :class:`~repro.faults.cluster.ClusterInjector`; its ``cluster.*``
     counters join the merged report, and the conservation watchdog
@@ -840,18 +732,23 @@ def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
         resumed = len(log) > 0
     else:
         log = WindowLog(fingerprint, sync_window_ns)
+    cfg = supervisor if supervisor is not None else SupervisorConfig()
     if jobs is None or jobs == 0:
         jobs = len(shards)
-    if jobs <= 1 or len(shards) == 1:
-        reports, trackers = _run_lockstep_inprocess(
-            shards, serve_kwargs, sync_window_ns, topology, injector,
-            fault_timeout_ns, supervisor, log, incidents, resumed,
-            controller=controller)
-    else:
-        reports, trackers = _run_lockstep_multiprocess(
-            shards, serve_kwargs, sync_window_ns, jobs, topology, injector,
-            fault_timeout_ns, supervisor, log, incidents, resumed,
-            controller=controller)
+    in_process = jobs <= 1 or len(shards) == 1
+    endpoints: List = []
+    try:
+        for shard in shards:
+            spec = (shard, serve_kwargs, topology, injector, fault_timeout_ns)
+            endpoints.append(_LocalShard(*spec) if in_process
+                             else _WorkerShard(cfg, *spec))
+        reports, trackers = _run_lockstep(
+            endpoints, [shard.name for shard in shards], sync_window_ns,
+            ShardRouter(topology) if topology is not None else None,
+            injector, cfg, log, incidents, resumed, controller)
+    finally:
+        for endpoint in endpoints:
+            endpoint.close()
     if supervisor is not None and supervisor.checkpoint_dir:
         log.complete = True
         log.save(supervisor.checkpoint_dir)

@@ -15,7 +15,7 @@ latency is at least ``sync_window_ns`` (validated by
 :func:`repro.sim.shard.run_sharded`), no message can need to arrive
 inside the window it was sent in, so advancing all shards one window at
 a time never delivers late.  ``jobs=1`` runs the identical exchange
-in-process and is the bit-identity reference for the multiprocess path.
+in-process and is the bit-identity reference for worker-process shards.
 
 Pieces:
 

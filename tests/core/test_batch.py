@@ -254,10 +254,6 @@ def test_runner_engine_selection(testbed):
     assert SweepRunner(testbed).engine_for(10) == "vector"
     assert SweepRunner(testbed).engine_for(1) == "scalar"
     assert SweepRunner(testbed, engine="scalar").engine_for(10) == "scalar"
-    with pytest.warns(DeprecationWarning, match="vectorized"):
-        assert SweepRunner(testbed, vectorized=True).engine == "vector"
-    with pytest.warns(DeprecationWarning, match="vectorized"):
-        assert SweepRunner(testbed, vectorized=False).engine == "scalar"
     with pytest.raises(ValueError, match="unknown engine"):
         SweepRunner(testbed, engine="turbo")
 

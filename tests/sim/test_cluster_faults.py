@@ -9,14 +9,15 @@ These are the hypothesis legs of the cluster-fault contract
   cluster fault plan (every arrival ends completed, rejected, lost or
   in-flight; every fabric send is handed over, pending, or accounted
   dropped) — the runs below would raise ``ConservationError`` otherwise;
-* a worker SIGKILLed mid-run and respawned from the window log lands on
-  exactly the counts and decisions of the unkilled run.
+* a shard killed mid-run (a SIGKILLed worker, or a discarded in-process
+  session) and restarted from the window log lands on exactly the
+  counts and decisions of the unkilled run.
 """
 
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.faults.plan import (FabricDelay, FabricLoss, FabricPartition,
                                FabricReorder, FaultPlan, MachineCrash,
@@ -131,16 +132,21 @@ def test_conservation_and_jobs_identity_under_any_plan(
         assert t.completed + t.rejected + t.lost > 0
 
 
+@pytest.mark.parametrize("jobs", [1, 4])
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=50),
        victim=st.sampled_from(["shard1", "shard2"]),
        window=st.integers(min_value=1, max_value=4))
-def test_kill_and_respawn_reproduces_unkilled_run(seed, victim, window):
-    """A SIGKILLed worker, respawned from the window log, changes no
-    tenant outcome and no scheduling decision."""
+@example(seed=0, victim="shard3", window=4)
+def test_kill_and_respawn_reproduces_unkilled_run(jobs, seed, victim, window):
+    """A killed shard — a SIGKILLed worker, or at ``jobs=1`` a discarded
+    in-process session — restarted from the window log, changes no
+    tenant outcome and no scheduling decision.  The explicit example
+    kills the shard that receives fabric traffic in windows 2-3, so the
+    replay must re-deliver logged inbound messages."""
     chaotic = dataclasses.replace(_plan(seed), cluster_faults=_chaos(seed))
-    clean = run_sharded(chaotic, jobs=4)
-    killed = run_sharded(chaotic, jobs=4,
+    clean = run_sharded(chaotic, jobs=jobs)
+    killed = run_sharded(chaotic, jobs=jobs,
                          supervisor=SupervisorConfig(kill_shard=victim,
                                                      kill_window=window))
     assert _digest(killed, counters=False) == _digest(clean, counters=False)

@@ -1,20 +1,24 @@
-"""The stable public surface: export snapshots and deprecation shims.
+"""The stable public surface: export snapshots and removed aliases.
 
 ``repro`` and ``repro.api`` are the supported import points; this file
 pins their exports so accidental additions/removals fail review, checks
 the new spellings import cleanly under ``-W error::DeprecationWarning``
-(the CI gate), and that the legacy ``repro.core.bench`` path still
-works while warning exactly once per process.
+(the CI gate), and that the removed deprecated aliases stay removed.
 """
 
+import importlib
 import os
 import pathlib
 import subprocess
 import sys
-import warnings
+
+import pytest
 
 import repro
 import repro.api
+from repro.core.sweeps import SweepRunner
+from repro.net.topology import paper_testbed
+from repro.sched.serve import ServeReport
 
 _SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
@@ -69,26 +73,11 @@ def test_new_spellings_are_warning_free():
         check=True, env={**os.environ, "PYTHONPATH": _SRC})
 
 
-def test_bench_shim_warns_once_and_aliases_harness():
-    for module in ("repro.core.bench",):
-        sys.modules.pop(module, None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        import repro.core.bench as bench
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)
-                    and "repro.core.bench" in str(w.message)]
-    assert len(deprecations) == 1
-    # The second import hits the module cache: silent.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        import repro.core.bench  # noqa: F811
-    assert not [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-    # Old names are the same objects, not copies.
-    from repro.core import harness
-
-    assert bench.LatencyBench is harness.LatencyBench
-    assert bench.ThroughputBench is harness.ThroughputBench
-    assert bench.Sweep is harness.Sweep
-    assert bench.Measurement is harness.Measurement
+def test_removed_aliases_stay_removed():
+    """The deprecated spellings are gone for good, not half-present."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.bench")
+    with pytest.raises(TypeError, match="vectorized"):
+        SweepRunner(paper_testbed(), vectorized=True)
+    assert not hasattr(repro.Session, "serve_sharded")
+    assert not hasattr(ServeReport, "worst_p99_ns")
