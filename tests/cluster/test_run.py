@@ -9,7 +9,8 @@ The load-bearing contracts:
   byte for byte;
 * a scenario with live LB-routed migration mid-run is bit-identical
   across ``jobs={1,N}`` (hypothesis, across population seeds);
-* ``Session.serve_cluster`` is the facade spelling.
+* ``Session.serve_cluster`` is the facade spelling; the old
+  ``Session.serve_sharded`` alias is removed.
 """
 
 import dataclasses
@@ -158,3 +159,8 @@ def test_machines_override_rebuilds_the_rack():
         scheduler=SchedulerDoc(migrate=False))
     report = run_cluster(scenario, jobs=1, machines=3)
     assert [m.name for m in report.machines] == ["m00", "m01", "m02"]
+
+
+def test_serve_sharded_is_removed():
+    assert not hasattr(Session, "serve_sharded")
+    assert hasattr(Session, "serve_cluster")

@@ -73,11 +73,14 @@ def test_new_spellings_are_warning_free():
         check=True, env={**os.environ, "PYTHONPATH": _SRC})
 
 
-def test_removed_aliases_stay_removed():
-    """The deprecated spellings are gone for good, not half-present."""
+def test_bench_module_is_removed():
+    """``repro.core.bench`` is gone; ``repro.core.harness`` replaces it."""
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.core.bench")
+
+
+def test_removed_aliases_stay_removed():
+    """The deprecated spellings are gone for good, not half-present."""
     with pytest.raises(TypeError, match="vectorized"):
         SweepRunner(paper_testbed(), vectorized=True)
-    assert not hasattr(repro.Session, "serve_sharded")
     assert not hasattr(ServeReport, "worst_p99_ns")
