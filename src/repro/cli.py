@@ -54,6 +54,7 @@ from repro.core.throughput import Flow, Scenario, ThroughputSolver
 from repro.net.topology import paper_testbed
 from repro.nic.catalog import CATALOG, lookup
 from repro.nic.smartnic import SmartNIC
+from repro.sched.serve import ENGINES
 from repro.units import GB, fmt_size
 from repro.workloads import (
     FIG4_PAYLOADS,
@@ -240,11 +241,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "into the run")
     p.add_argument("--fault-seed", type=int, default=0,
                    help="seed of the injector's RNG streams")
-    p.add_argument("--engine", choices=["event", "des-heap", "hybrid"],
-                   default="event",
+    p.add_argument("--engine", choices=ENGINES, default="event",
                    help="serving engine: 'event' is pure DES on the "
-                        "binary-heap queue (default; 'des-heap' is the "
-                        "same engine under its old name), 'hybrid' fast-"
+                        "binary-heap queue (default), 'hybrid' fast-"
                         "forwards steady-state windows analytically "
                         "(docs/performance.md)")
     p.add_argument("--shards", type=int, default=1,

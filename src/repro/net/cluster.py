@@ -217,10 +217,6 @@ class SimCluster:
     def nic_pipeline(self) -> Resource:
         return self._server0.pipeline
 
-    @property
-    def nic_service_ns(self) -> float:
-        return self._server0.service_ns
-
     def server_of(self, node: Node) -> ServerInstance:
         """The server instance a server-side node lives on."""
         if node.server is None:

@@ -40,6 +40,10 @@ from repro.trace.tracer import Tracer
 from repro.units import GB, KB, MB, fmt_ns, to_gbps
 from repro.workloads import OpMix
 
+#: Serving engine names, shared by ``ServeSession``, the CLI and the
+#: cluster-scenario schema.
+ENGINES = ("event", "hybrid")
+
 
 @dataclass(frozen=True)
 class TenantReport:
@@ -199,13 +203,11 @@ class ServeSession:
                  faults: Optional[FaultPlan] = None, fault_seed: int = 0,
                  interval_ns: float = 20_000.0,
                  window_ns: float = 100_000.0,
-                 cooldown_ns: float = 60_000.0,
-                 warmup_ns: Optional[float] = None,
                  trace: bool = False, engine: str = "event",
-                 hybrid_config=None, channel=None, nic: str = "snic"):
-        if engine not in ("event", "des-heap", "hybrid"):
+                 channel=None, nic: str = "snic"):
+        if engine not in ENGINES:
             raise ValueError(f"unknown serve engine {engine!r}; "
-                             "expected 'event', 'des-heap' or 'hybrid'")
+                             f"expected one of {ENGINES}")
         if nic not in ("snic", "rnic"):
             raise ValueError(f"unknown nic {nic!r}; "
                              "expected 'snic' or 'rnic'")
@@ -218,14 +220,13 @@ class ServeSession:
         self.adaptive = adaptive
         self.engine = engine
         self.interval_ns = interval_ns
-        self.warmup_ns = warmup_ns
         testbed = testbed or paper_testbed()
         n_clients = max(1, sum(1 for t in tenants if not t.bulk))
         self.tenants = tenants
-        # Every engine runs on the binary-heap Simulator; "des-heap" is
-        # kept as a spelling of "event".  The heap beat the time-bucketed
-        # BatchSimulator on the serving mix (most timestamps hold one
-        # event, so buckets only add dict and sort traffic).
+        # Every engine runs on the binary-heap Simulator.  The heap beat
+        # the time-bucketed BatchSimulator on the serving mix (most
+        # timestamps hold one event, so buckets only add dict and sort
+        # traffic).
         sim = des_engine.Simulator()
         # "rnic" builds a host-only machine (no SoC node): the policy
         # sees soc_available=False and terminates everything host-ward.
@@ -243,7 +244,7 @@ class ServeSession:
         if channel is not None:
             channel.bind(self)
             self.runtime.xshard = channel
-        self.policy = PathPolicy(testbed, cooldown_ns=cooldown_ns)
+        self.policy = PathPolicy(testbed)
         self._telemetry_start = self.telemetry.snapshot()
 
         self.decisions: List[Decision] = []
@@ -267,7 +268,7 @@ class ServeSession:
             from repro.sim.hybrid import HybridController
             self.controller = HybridController(
                 self.runtime, self.tracker, faults=faults,
-                tick_ns=interval_ns, config=hybrid_config).install()
+                tick_ns=interval_ns).install()
             if scheduler is not None:
                 scheduler.on_decision = self.controller.on_decision
 
@@ -355,15 +356,13 @@ class ServeSession:
 
     def finalize(self) -> ServeReport:
         elapsed = self.cluster.sim.now
-        warmup = (self.warmup_ns if self.warmup_ns is not None
-                  else 2 * self.interval_ns)
         return ServeReport(
             adaptive=self.adaptive,
             elapsed_ns=elapsed,
             tenants=_tenant_reports(self.tenants, self.runtime,
                                     self.tracker, self.decisions),
             decisions=self.decisions,
-            path_gbps=_path_gbps(self.runtime, warmup),
+            path_gbps=_path_gbps(self.runtime, 2 * self.interval_ns),
             counters=dict(self.telemetry.delta(
                 self._telemetry_start).deltas),
             tracer=self.tracer,
@@ -381,32 +380,26 @@ def run_serve(tenants: Sequence[TenantSpec], adaptive: bool = True,
               testbed: Optional[Testbed] = None,
               faults: Optional[FaultPlan] = None, fault_seed: int = 0,
               interval_ns: float = 20_000.0, window_ns: float = 100_000.0,
-              cooldown_ns: float = 60_000.0,
-              warmup_ns: Optional[float] = None,
-              trace: bool = False, engine: str = "event",
-              hybrid_config=None) -> ServeReport:
+              trace: bool = False, engine: str = "event") -> ServeReport:
     """Serve every tenant stream to completion and report.
 
-    ``warmup_ns`` bounds the steady-state window for per-path bandwidth
-    accounting (defaults to two control ticks); completions before it
-    still count toward per-tenant totals.
+    Per-path bandwidth is accounted over the steady state after a
+    warm-up of two control ticks; completions before it still count
+    toward per-tenant totals.
 
     ``engine`` selects the execution strategy: ``"event"`` (the default
     pure DES on the binary-heap :class:`~repro.sim.engine.Simulator` —
-    bit-identical run to run), ``"des-heap"`` (the same engine, kept as
-    an accepted spelling) or ``"hybrid"``, which
-    installs a :class:`~repro.sim.hybrid.HybridController` that
-    fast-forwards steady-state stretches through the operational-law
-    recurrence (exact completion counts, latencies within the declared
-    tolerances — see ``docs/performance.md``).  ``hybrid_config``
-    optionally overrides :class:`~repro.sim.hybrid.HybridConfig`.
+    bit-identical run to run) or ``"hybrid"``, which installs a
+    :class:`~repro.sim.hybrid.HybridController` that fast-forwards
+    steady-state stretches through the operational-law recurrence
+    (exact completion counts, latencies within the tolerances declared
+    in :mod:`repro.sim.hybrid` — see ``docs/performance.md``).
     """
     session = ServeSession(
         tenants, adaptive=adaptive, static_assignment=static_assignment,
         testbed=testbed, faults=faults, fault_seed=fault_seed,
-        interval_ns=interval_ns, window_ns=window_ns,
-        cooldown_ns=cooldown_ns, warmup_ns=warmup_ns, trace=trace,
-        engine=engine, hybrid_config=hybrid_config)
+        interval_ns=interval_ns, window_ns=window_ns, trace=trace,
+        engine=engine)
     session.run_to_completion()
     return session.finalize()
 

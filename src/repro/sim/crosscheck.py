@@ -7,9 +7,8 @@ The hybrid engine's contract (docs/performance.md) is tiered:
   paths, reason, generation);
 * **toleranced** — p50/p99 latency and goodput per tenant, and the
   ``observed_p99_ns`` attribution field on decisions, each within the
-  relative bounds declared by
-  :class:`~repro.sim.hybrid.HybridConfig` (``latency_tol`` /
-  ``goodput_tol``).
+  relative bounds declared in :mod:`repro.sim.hybrid`
+  (``LATENCY_TOL`` / ``GOODPUT_TOL``).
 
 :func:`crosscheck` runs one scenario under both engines and grades
 every clause of that contract; :func:`crosscheck_suite` sweeps the
@@ -34,11 +33,11 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.faults.plan import FaultPlan, PacketLoss, SocCrash
 from repro.sched.serve import ServeReport, run_serve
-from repro.sim.hybrid import HybridConfig
+from repro.sim.hybrid import GOODPUT_TOL, LATENCY_TOL
 
 #: Fields of ``Decision.as_tuple()`` compared bit-exactly (everything
 #: but ``observed_p99_ns``, which is a windowed-telemetry attribution
-#: and only required to agree within ``latency_tol``).
+#: and only required to agree within ``LATENCY_TOL``).
 _P99_INDEX = 9
 
 
@@ -127,22 +126,18 @@ def _check_decisions(des: ServeReport,
 
 
 def crosscheck(scenario: str, factory: Callable[[], Sequence],
-               config: Optional[HybridConfig] = None,
                **serve_kwargs) -> CrossCheck:
     """Run ``factory()``'s tenants under both engines and grade them.
 
     ``serve_kwargs`` go to both :func:`~repro.sched.serve.run_serve`
-    calls (``adaptive=``, ``faults=`` ...).  The hybrid run uses
-    ``config`` (default :class:`HybridConfig`), whose tolerances are
-    also the grading thresholds.
+    calls (``adaptive=``, ``faults=`` ...).  The grading thresholds
+    are the hybrid engine's declared ``LATENCY_TOL``/``GOODPUT_TOL``.
     """
-    config = config or HybridConfig()
     t0 = time.perf_counter()
     des = run_serve(factory(), **serve_kwargs)
     des_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
-    hyb = run_serve(factory(), engine="hybrid", hybrid_config=config,
-                    **serve_kwargs)
+    hyb = run_serve(factory(), engine="hybrid", **serve_kwargs)
     hybrid_seconds = time.perf_counter() - t0
 
     tenants = []
@@ -155,8 +150,8 @@ def crosscheck(scenario: str, factory: Callable[[], Sequence],
             p50_err=_rel_err(got.p50_ns, want.p50_ns),
             p99_err=_rel_err(got.p99_ns, want.p99_ns),
             goodput_err=_rel_err(got.goodput_gbps, want.goodput_gbps),
-            latency_tol=config.latency_tol,
-            goodput_tol=config.goodput_tol,
+            latency_tol=LATENCY_TOL,
+            goodput_tol=GOODPUT_TOL,
         ))
     decisions_ok, p99_err = _check_decisions(des, hyb)
     return CrossCheck(
@@ -164,7 +159,7 @@ def crosscheck(scenario: str, factory: Callable[[], Sequence],
         tenants=tuple(tenants),
         decisions_ok=decisions_ok,
         decision_p99_err=p99_err,
-        latency_tol=config.latency_tol,
+        latency_tol=LATENCY_TOL,
         des_seconds=des_seconds,
         hybrid_seconds=hybrid_seconds,
         hybrid_stats=dict(hyb.hybrid_stats or {}),
@@ -187,7 +182,6 @@ class AgreementRow:
 
 
 def ci_agreement(des: ServeReport, hybrid: ServeReport,
-                 config: Optional[HybridConfig] = None,
                  confidence: float = 0.95) -> Tuple[AgreementRow, ...]:
     """Grade DES-vs-hybrid agreement with CI-overlap gates.
 
@@ -196,14 +190,13 @@ def ci_agreement(des: ServeReport, hybrid: ServeReport,
     validate`` uses: each per-tenant metric becomes a warm-up-truncated
     batch-means :class:`~repro.stats.kernels.Estimate` over the run's
     fixed-window archive, and two engines *agree* when the intervals
-    overlap (falling back to the :class:`HybridConfig` relative
-    tolerance for degenerate zero-width intervals).  Completion /
+    overlap (falling back to the hybrid engine's declared relative
+    tolerances for degenerate zero-width intervals).  Completion /
     rejection / loss counts stay exact — no interval excuses a count.
     """
     from repro.stats.kernels import Estimate, agreement
     from repro.stats.replicate import report_estimate
 
-    config = config or HybridConfig()
     rows = []
     for name in sorted(des.tenants):
         want, got = des.tenants[name], hybrid.tenants[name]
@@ -220,9 +213,9 @@ def ci_agreement(des: ServeReport, hybrid: ServeReport,
                     f"counts differ: {want.completed}/{want.rejected}/"
                     f"{want.lost} vs {got.completed}/{got.rejected}/"
                     f"{got.lost}")))
-        for metric, tol in (("p50_ns", config.latency_tol),
-                            ("p99_ns", config.latency_tol),
-                            ("goodput_gbps", config.goodput_tol)):
+        for metric, tol in (("p50_ns", LATENCY_TOL),
+                            ("p99_ns", LATENCY_TOL),
+                            ("goodput_gbps", GOODPUT_TOL)):
             a = report_estimate(des, name, field=metric,
                                 confidence=confidence)
             b = report_estimate(hybrid, name, field=metric,
@@ -270,7 +263,6 @@ def standard_scenarios(duration_ns: float = 1_500_000.0,
 
 
 def crosscheck_suite(duration_ns: float = 1_500_000.0, seed: int = 0,
-                     config: Optional[HybridConfig] = None,
                      scenarios: Optional[Sequence[str]] = None,
                      ) -> Tuple[CrossCheck, ...]:
     """Cross-check every standard scenario family (or a named subset)."""
@@ -285,7 +277,7 @@ def crosscheck_suite(duration_ns: float = 1_500_000.0, seed: int = 0,
     for name, spec in families.items():
         kwargs = dict(spec)
         factory = kwargs.pop("factory")
-        results.append(crosscheck(name, factory, config=config, **kwargs))
+        results.append(crosscheck(name, factory, **kwargs))
     return tuple(results)
 
 

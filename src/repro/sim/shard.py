@@ -192,9 +192,6 @@ class ShardPlan:
             return ShardTopology.uniform([s.name for s in self.shards])
         return None
 
-    def with_cluster_faults(self, faults: FaultPlan) -> "ShardPlan":
-        return replace(self, cluster_faults=faults)
-
     @classmethod
     def partition(cls, tenants: Sequence[TenantSpec],
                   n_shards: int) -> "ShardPlan":
@@ -570,7 +567,7 @@ def _run_lockstep(endpoints: Sequence, names: Sequence[str],
             inbound[name] = inbox
             moved = moved or bool(inbox)
         log.record(barrier, inbound)
-        if cfg.checkpoint_dir and window_no % cfg.checkpoint_every == 0:
+        if cfg.checkpoint_dir:
             log.save(cfg.checkpoint_dir)
         victim = cfg.kill_shard if window_no == cfg.kill_window else None
         moved = run_window(window_no, barrier, inbound, victim) or moved

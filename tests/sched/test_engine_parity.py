@@ -1,17 +1,20 @@
 """Serving-engine parity: the heap queue vs the batched queue.
 
-Every serving engine (``"event"``, its spelling ``"des-heap"``, and
-``"hybrid"`` on top of it) runs on the binary-heap
-:class:`repro.sim.engine.Simulator`.  :class:`repro.sim.batchq.
-BatchSimulator` must still reproduce it bit for bit at the serving
-level; these tests swap it in for one of two runs by patching
-``repro.sim.engine.Simulator``, which ``ServeSession`` looks up when it
-builds its cluster.
+Every serving engine (``"event"`` and ``"hybrid"`` on top of it) runs
+on the binary-heap :class:`repro.sim.engine.Simulator`.
+:class:`repro.sim.batchq.BatchSimulator` must still reproduce it bit
+for bit at the serving level; these tests swap it in for one of two
+runs by patching ``repro.sim.engine.Simulator``, which ``ServeSession``
+looks up when it builds its cluster.
 """
+
+import json
+import pathlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.api.schema import ClusterScenario, SchemaError
 from repro.faults.plan import FaultPlan, SocCrash
 from repro.sched.serve import ServeSession, mixed_tenant_workload, run_serve
 from repro.sim import engine
@@ -32,11 +35,24 @@ def _run_batched(monkeypatch, *args, **kwargs):
         return run_serve(*args, **kwargs)
 
 
-@pytest.mark.parametrize("name", ["event", "des-heap", "hybrid"])
+@pytest.mark.parametrize("name", ["event", "hybrid"])
 def test_every_engine_runs_on_the_heap_queue(name):
     session = ServeSession(mixed_tenant_workload(duration_ns=50_000.0),
                            engine=name)
     assert type(session.cluster.sim) is Simulator
+
+
+def test_des_heap_engine_is_removed():
+    """``"des-heap"`` was a second spelling of ``"event"``; it is gone
+    from sessions and from cluster-scenario documents alike."""
+    with pytest.raises(ValueError, match="unknown serve engine"):
+        ServeSession(mixed_tenant_workload(duration_ns=50_000.0),
+                     engine="des-heap")
+    doc = json.loads((pathlib.Path(__file__).resolve().parents[2]
+                      / "examples" / "rack_scenario.json").read_text())
+    doc["engine"] = "des-heap"
+    with pytest.raises(SchemaError, match="engine"):
+        ClusterScenario.from_dict(doc)
 
 
 def test_batched_queue_swaps_in_through_the_engine_module(monkeypatch):

@@ -3,16 +3,18 @@
 Exact clauses (counts, decision structure) are asserted bit-for-bit;
 toleranced clauses (p50/p99/goodput, decision p99 attribution) go
 through :mod:`repro.sim.crosscheck`, which grades them against the
-bounds declared by :class:`~repro.sim.hybrid.HybridConfig`.
+bounds declared in :mod:`repro.sim.hybrid` (``LATENCY_TOL`` /
+``GOODPUT_TOL``).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults.plan import FaultPlan, SocCrash
-from repro.sched.serve import mixed_tenant_workload, run_serve
+from repro.sched.serve import ServeSession, mixed_tenant_workload, run_serve
+from repro.sim import hybrid
 from repro.sim.crosscheck import crosscheck, crosscheck_suite
-from repro.sim.hybrid import HybridConfig
+from repro.sim.hybrid import LOOKAHEAD_NS, MAX_ENVELOPE_NS
 
 
 def _counts(report):
@@ -24,13 +26,17 @@ def _decision_structure(report):
     return [d.as_tuple()[:9] + d.as_tuple()[10:] for d in report.decisions]
 
 
-def test_hybrid_config_validates():
-    with pytest.raises(ValueError):
-        HybridConfig(guard_ns=-1.0)
-    with pytest.raises(ValueError):
-        HybridConfig(min_samples=0)
-    with pytest.raises(ValueError):
-        HybridConfig(latency_tol=-0.5)
+def test_hybrid_config_is_removed():
+    """The hybrid engine's knobs are module constants now; nothing
+    carries a per-run override any more."""
+    assert not hasattr(hybrid, "HybridConfig")
+    tenants = mixed_tenant_workload(duration_ns=50_000.0)
+    with pytest.raises(TypeError, match="hybrid_config"):
+        run_serve(tenants, hybrid_config=None)
+    with pytest.raises(TypeError, match="cooldown_ns"):
+        ServeSession(tenants, cooldown_ns=60_000.0)
+    with pytest.raises(TypeError, match="warmup_ns"):
+        ServeSession(tenants, warmup_ns=40_000.0)
 
 
 def test_static_run_never_flips_and_is_identical():
@@ -65,11 +71,9 @@ def test_hybrid_counts_exact_across_seeds(seed):
 @settings(max_examples=4, deadline=None)
 @given(st.integers(min_value=0, max_value=40))
 def test_hybrid_latencies_within_declared_tolerance(seed):
-    config = HybridConfig()
     result = crosscheck(
         "prop", lambda: mixed_tenant_workload(duration_ns=600_000.0,
-                                              seed=seed),
-        config=config)
+                                              seed=seed))
     assert result.ok, result.failures()
 
 
@@ -123,32 +127,18 @@ def test_fault_transient_family_in_standard_scenarios():
 
 def test_adaptive_envelope_tracks_service_ceiling():
     """envelope_ns() = max(lookahead, ceiling + bucket slack), growing
-    geometrically per escalation and capped at max_envelope_ns."""
-    from repro.sched.serve import ServeSession
-    from repro.sim.hybrid import HybridController
-
+    geometrically per escalation and capped at MAX_ENVELOPE_NS."""
     session = ServeSession(mixed_tenant_workload(duration_ns=200_000.0,
                                                  seed=0), engine="hybrid")
     controller = session.controller
-    config = controller.config
-    assert controller.envelope_ns() >= config.lookahead_ns
+    assert controller.envelope_ns() >= LOOKAHEAD_NS
     session.cluster.sim.run(until=120_000.0)
     grown = controller.envelope_ns()
     assert grown >= controller._service_ceiling
     controller._escalations = 2
     assert controller.envelope_ns() >= grown
     controller._escalations = 50
-    assert controller.envelope_ns() == config.max_envelope_ns
-    fixed = HybridController(session.runtime, session.tracker,
-                             config=HybridConfig(adaptive_envelope=False))
-    assert fixed.envelope_ns() == fixed.config.lookahead_ns
-
-
-def test_hybrid_config_validates_envelope_knobs():
-    with pytest.raises(ValueError, match="envelope_growth"):
-        HybridConfig(envelope_growth=0.5)
-    with pytest.raises(ValueError, match="max_envelope_ns"):
-        HybridConfig(max_envelope_ns=-1.0)
+    assert controller.envelope_ns() == MAX_ENVELOPE_NS
 
 
 def test_crosscheck_suite_rejects_unknown_scenarios():
