@@ -39,6 +39,14 @@ def test_hybrid_config_is_removed():
         ServeSession(tenants, warmup_ns=40_000.0)
 
 
+def test_envelope_constants_are_valid():
+    """The envelope constants keep the bounds the removed per-run
+    validation enforced: an escalation never narrows the envelope, and
+    its floor fits under its ceiling."""
+    assert hybrid.ENVELOPE_GROWTH >= 1.0
+    assert 0.0 <= LOOKAHEAD_NS <= MAX_ENVELOPE_NS
+
+
 def test_static_run_never_flips_and_is_identical():
     """Static placements drive tenants into overload equilibria whose
     admission counts are timing-sensitive; the steadiness predicate
