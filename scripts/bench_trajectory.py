@@ -196,6 +196,13 @@ def serving_bench() -> dict:
         wall = time.perf_counter() - start
         return session.finalize(), wall, session.cluster.sim.events_executed
 
+    def work_per_second(report, wall):
+        # Throughput as work done per wall-second: simulated time and
+        # completed requests, not events (which reward simulating more).
+        completed = sum(t.completed for t in report.tenants.values())
+        return {"sim_us_per_s": round(report.elapsed_ns / 1e3 / wall),
+                "completed_per_s": round(completed / wall)}
+
     des_report, des_s, des_events = run("event")
     hyb_report, hyb_s, hyb_events = run("hybrid")
     counts = lambda r: {name: (t.completed, t.rejected, t.lost)  # noqa: E731
@@ -205,6 +212,7 @@ def serving_bench() -> dict:
         "des_serving": {
             "duration_ns": SERVING_DURATION_NS,
             "wall_s": round(des_s, 4),
+            **work_per_second(des_report, des_s),
             "events": des_events,
             "events_per_sec": round(des_events / des_s),
             "completed": sum(c for c, _r, _l in totals.values()),
@@ -212,6 +220,7 @@ def serving_bench() -> dict:
         },
         "hybrid_serving": {
             "wall_s": round(hyb_s, 4),
+            **work_per_second(hyb_report, hyb_s),
             "events": hyb_events,
             "speedup_vs_des": round(des_s / hyb_s, 2),
             "counts_match_des": counts(hyb_report) == totals,

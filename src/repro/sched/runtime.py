@@ -91,7 +91,11 @@ class _TenantState:
         self.admitted = 0
         self.finished = 0
         self.arrivals_done = False
-        self.degraded_served = 0
+        # Running aggregates of this tenant's completions, ok or not:
+        # the report reads these instead of a per-request log.
+        self.degraded_total = 0
+        self.first_start = float("inf")
+        self.last_end = float("-inf")
 
     @staticmethod
     def _make_stream(spec: TenantSpec) -> RequestStream:
@@ -111,7 +115,8 @@ class ServingRuntime:
     MAX_ATTEMPTS = 6
 
     def __init__(self, cluster: SimCluster, ctx: RdmaContext,
-                 tenants: Iterable[TenantSpec], tracker: SloTracker):
+                 tenants: Iterable[TenantSpec], tracker: SloTracker, *,
+                 warmup_ns: float):
         self.cluster = cluster
         self.ctx = ctx
         self.sim = cluster.sim
@@ -120,7 +125,11 @@ class ServingRuntime:
         names = [t.name for t in self.specs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
-        self.completions: List[CompletionRecord] = []
+        #: Per-path steady-state delivery: path value -> [bytes, last
+        #: end_ns], over ok completions ending after ``warmup_ns``, in
+        #: the order each path first delivered one.
+        self.warmup_ns = warmup_ns
+        self.path_totals: Dict[str, List[float]] = {}
         # Hybrid-engine hook (repro.sim.hybrid).  None on pure-DES runs:
         # every touch point guards with one ``is not None`` check, so
         # the default engine's event sequence is untouched.
@@ -344,7 +353,6 @@ class ServingRuntime:
                     service = (host.cpu.two_sided_latency_ns
                                + payload / gib_per_s(_RELAY_GIBPS))
                     yield self.sim.timeout(service)
-                t.degraded_served += 1
                 self._finish(t, seq, op, arrived_ns, ok=True,
                              attempts=attempts, degraded=True)
                 return
@@ -417,13 +425,10 @@ class ServingRuntime:
         # overhead outside the machine: fold it in by backdating the
         # start so latency_ns reports the user-observed value while the
         # in-machine event sequence stays byte-identical to ingress=0.
-        record = CompletionRecord(
+        self._account(t, CompletionRecord(
             tenant=t.spec.name, seq=seq, op=op.value, path=t.lease.path,
             start_ns=arrived_ns - t.spec.ingress_ns, end_ns=self.sim.now,
-            ok=ok, attempts=attempts, degraded=degraded)
-        t.finished += 1
-        self.completions.append(record)
-        self.tracker.observe(record, t.spec.payload)
+            ok=ok, attempts=attempts, degraded=degraded))
         xshard = self.xshard
         if xshard is not None and ok and not degraded:
             export = xshard.exports.get(t.spec.name)
@@ -432,3 +437,29 @@ class ServingRuntime:
                 # crosses the fabric to the destination shard's host.
                 xshard.ship_bulk(t.spec.name, export.dst_shard,
                                  t.spec.payload)
+
+    def _account(self, t: _TenantState, record: CompletionRecord) -> None:
+        """Fold one completion into the running aggregates and the
+        tracker; nothing keeps the record itself."""
+        t.finished += 1
+        if record.degraded:
+            t.degraded_total += 1
+        if record.start_ns < t.first_start:
+            t.first_start = record.start_ns
+        end = record.end_ns
+        if end > t.last_end:
+            t.last_end = end
+        payload = t.spec.payload
+        if record.ok and end > self.warmup_ns:
+            # Keyed by ``_value_``, the member's plain value attribute:
+            # hashing the enum itself, or reading ``.value``, runs
+            # Python-level code on every completion.
+            path = record.path._value_
+            totals = self.path_totals.get(path)
+            if totals is None:
+                self.path_totals[path] = [payload, end]
+            else:
+                totals[0] += payload
+                if end > totals[1]:
+                    totals[1] = end
+        self.tracker.observe(record, payload)

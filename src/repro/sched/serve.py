@@ -19,6 +19,7 @@ Two modes:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -238,8 +239,10 @@ class ServeSession:
             self.cluster.install_faults(faults, seed=fault_seed)
         self.ctx = RdmaContext(self.cluster)
         self.tracker = SloTracker(tenants, window_ns=window_ns)
+        # Per-path bandwidth is counted after two control ticks.
         self.runtime = ServingRuntime(self.cluster, self.ctx, tenants,
-                                      self.tracker)
+                                      self.tracker,
+                                      warmup_ns=2 * interval_ns)
         self.channel = channel
         if channel is not None:
             channel.bind(self)
@@ -362,7 +365,7 @@ class ServeSession:
             tenants=_tenant_reports(self.tenants, self.runtime,
                                     self.tracker, self.decisions),
             decisions=self.decisions,
-            path_gbps=_path_gbps(self.runtime, 2 * self.interval_ns),
+            path_gbps=_path_gbps(self.runtime),
             counters=dict(self.telemetry.delta(
                 self._telemetry_start).deltas),
             tracer=self.tracer,
@@ -409,14 +412,12 @@ def _tenant_reports(tenants: Sequence[TenantSpec], runtime: ServingRuntime,
                     decisions: Sequence[Decision]) -> Dict[str, TenantReport]:
     reports: Dict[str, TenantReport] = {}
     for spec in tenants:
-        records = [r for r in runtime.completions if r.tenant == spec.name]
-        ok = sorted(r.latency_ns for r in records if r.ok)
-        in_slo = [r for r in records
-                  if r.ok and r.latency_ns <= spec.slo.deadline]
-        span = (max((r.end_ns for r in records), default=0.0)
-                - min((r.start_ns for r in records), default=0.0)) or 1.0
+        t = runtime._tenants[spec.name]
+        ok = tracker.ok_latencies(spec.name)
+        in_slo = bisect_right(ok, spec.slo.deadline)
+        span = ((t.last_end - t.first_start) if t.finished else 0.0) or 1.0
         good_bytes = spec.payload * len(ok)
-        slo_bytes = spec.payload * len(in_slo)
+        slo_bytes = spec.payload * in_slo
         lease = runtime.lease(spec.name)
         moves = sum(1 for d in decisions
                     if d.tenant == spec.name
@@ -427,29 +428,20 @@ def _tenant_reports(tenants: Sequence[TenantSpec], runtime: ServingRuntime,
             completed=tracker.completed[spec.name],
             rejected=tracker.rejected[spec.name],
             lost=tracker.lost[spec.name],
-            degraded=sum(1 for r in records if r.degraded),
+            degraded=t.degraded_total,
             p50_ns=ok[len(ok) // 2] if ok else 0.0,
             p99_ns=(ok[min(len(ok) - 1, int(0.99 * len(ok)))]
                     if ok else 0.0),
             goodput_gbps=to_gbps(good_bytes / span),
             slo_goodput_gbps=to_gbps(slo_bytes / span),
-            slo_attainment=(len(in_slo) / len(ok)) if ok else 0.0,
+            slo_attainment=(in_slo / len(ok)) if ok else 0.0,
             migrations=moves,
         )
     return reports
 
 
-def _path_gbps(runtime: ServingRuntime,
-               warmup_ns: float) -> Dict[str, float]:
+def _path_gbps(runtime: ServingRuntime) -> Dict[str, float]:
     """Steady-state delivered bandwidth per path, from completions."""
-    by_path: Dict[str, List] = {}
-    payload = {t.name: t.payload for t in runtime.specs}
-    for r in runtime.completions:
-        if r.ok and r.end_ns > warmup_ns:
-            by_path.setdefault(r.path.value, []).append(r)
-    result: Dict[str, float] = {}
-    for path, records in by_path.items():
-        span = (max(r.end_ns for r in records) - warmup_ns) or 1.0
-        nbytes = sum(payload[r.tenant] for r in records)
-        result[path] = to_gbps(nbytes / span)
-    return result
+    warmup_ns = runtime.warmup_ns
+    return {path: to_gbps(nbytes / ((last_end - warmup_ns) or 1.0))
+            for path, (nbytes, last_end) in runtime.path_totals.items()}

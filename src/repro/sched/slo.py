@@ -10,11 +10,12 @@ per-tenant histograms off a serving binary.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.sched.tenant import CompletionRecord, SloSpec, TenantSpec
+from repro.sched.tenant import CompletionRecord, TenantSpec
 from repro.units import to_gbps
 
 
@@ -96,6 +97,42 @@ class _WindowAccum:
         self.violations += other.violations
 
 
+class _Rolling:
+    """One tenant's rolling window, kept up to date as events come and go.
+
+    ``events`` and ``rejects`` hold what is inside the window in arrival
+    order; ``latencies`` is the window's ok latencies kept sorted, and
+    ``good_bytes``/``violations`` its running SLO sums, so a
+    :meth:`SloTracker.window` query costs O(log w) per pruned event
+    instead of a sort and three scans of the whole window.
+    """
+
+    __slots__ = ("deadline", "events", "rejects", "latencies",
+                 "good_bytes", "violations")
+
+    def __init__(self, deadline: float):
+        self.deadline = deadline
+        #: (end_ns, latency_ns, payload, ok), oldest first.
+        self.events: Deque[Tuple[float, float, int, bool]] = deque()
+        self.rejects: Deque[float] = deque()
+        self.latencies: List[float] = []
+        self.good_bytes = 0
+        self.violations = 0
+
+    def fold(self, other: "_Rolling") -> None:
+        """Merge ``other``'s streams in time order and rebuild the sums."""
+        self.events = deque(heapq.merge(self.events, other.events,
+                                        key=lambda ev: ev[0]))
+        self.rejects = deque(heapq.merge(self.rejects, other.rejects))
+        deadline = self.deadline
+        ok = [(latency, payload)
+              for _end, latency, payload, ok in self.events if ok]
+        self.latencies = sorted(latency for latency, _p in ok)
+        self.good_bytes = sum(payload for latency, payload in ok
+                              if latency <= deadline)
+        self.violations = sum(1 for latency, _p in ok if latency > deadline)
+
+
 class SloTracker:
     """Rolling per-tenant completion windows, pruned by simulated time."""
 
@@ -104,11 +141,8 @@ class SloTracker:
             raise ValueError(f"window must be positive: {window_ns}")
         self.window_ns = window_ns
         self._specs: Dict[str, TenantSpec] = {t.name: t for t in tenants}
-        #: (end_ns, latency_ns, payload, ok) per tenant, oldest first.
-        self._events: Dict[str, Deque[Tuple[float, float, int, bool]]] = {
-            t.name: deque() for t in tenants}
-        self._rejects: Dict[str, Deque[float]] = {
-            t.name: deque() for t in tenants}
+        self._rolling: Dict[str, _Rolling] = {
+            t.name: _Rolling(t.slo.deadline) for t in tenants}
         # Totals survive pruning (used by the final report).
         self.completed: Dict[str, int] = {t.name: 0 for t in tenants}
         self.rejected: Dict[str, int] = {t.name: 0 for t in tenants}
@@ -128,24 +162,29 @@ class SloTracker:
 
     def observe(self, record: CompletionRecord, payload: int) -> None:
         """Feed one completion from the runtime."""
-        events = self._events[record.tenant]
-        events.append((record.end_ns, record.latency_ns, payload, record.ok))
-        acc = self._accum(record.tenant, record.end_ns)
+        tenant = record.tenant
+        end = record.end_ns
+        latency = record.latency_ns
+        rolling = self._rolling[tenant]
+        rolling.events.append((end, latency, payload, record.ok))
+        acc = self._accum(tenant, end)
         if record.ok:
-            self.completed[record.tenant] += 1
-            deadline = self._specs[record.tenant].slo.deadline
-            acc.latencies.append(record.latency_ns)
-            if record.latency_ns <= deadline:
+            self.completed[tenant] += 1
+            insort(rolling.latencies, latency)
+            acc.latencies.append(latency)
+            if latency <= rolling.deadline:
+                rolling.good_bytes += payload
                 acc.good_bytes += payload
             else:
+                rolling.violations += 1
                 acc.violations += 1
         else:
-            self.lost[record.tenant] += 1
+            self.lost[tenant] += 1
             acc.lost += 1
 
     def observe_reject(self, tenant: str, now: float) -> None:
         """Feed one bounced arrival (queue full)."""
-        self._rejects[tenant].append(now)
+        self._rolling[tenant].rejects.append(now)
         self.rejected[tenant] += 1
         self._accum(tenant, now).rejected += 1
 
@@ -157,7 +196,8 @@ class SloTracker:
         tenants present on both sides the event and reject streams are
         merged in time order, so :meth:`window` pruning stays monotone
         and quantiles over the union window come out the same as if one
-        tracker had observed every completion.
+        tracker had observed every completion; the window's running
+        sums are rebuilt from the merged stream.
         """
         if other.window_ns != self.window_ns:
             raise ValueError(
@@ -166,8 +206,8 @@ class SloTracker:
         for name, spec in other._specs.items():
             if name not in self._specs:
                 self._specs[name] = spec
-                self._events[name] = deque(other._events[name])
-                self._rejects[name] = deque(other._rejects[name])
+                self._rolling[name] = _Rolling(spec.slo.deadline)
+                self._rolling[name].fold(other._rolling[name])
                 self.completed[name] = other.completed[name]
                 self.rejected[name] = other.rejected[name]
                 self.lost[name] = other.lost[name]
@@ -175,11 +215,7 @@ class SloTracker:
                     idx: acc.copy()
                     for idx, acc in other._archive[name].items()}
                 continue
-            self._events[name] = deque(heapq.merge(
-                self._events[name], other._events[name],
-                key=lambda ev: ev[0]))
-            self._rejects[name] = deque(heapq.merge(
-                self._rejects[name], other._rejects[name]))
+            self._rolling[name].fold(other._rolling[name])
             self.completed[name] += other.completed[name]
             self.rejected[name] += other.rejected[name]
             self.lost[name] += other.lost[name]
@@ -247,38 +283,47 @@ class SloTracker:
                if latencies else 0.0)
         return (idx, n, p99, acc.rejected, acc.violations)
 
+    def ok_latencies(self, tenant: str) -> List[float]:
+        """Every ok latency ``tenant`` completed over the whole run, sorted.
+
+        Read off the fixed-window archive, which already holds each one,
+        so the run keeps a single store of latencies.
+        """
+        return sorted(latency for acc in self._archive[tenant].values()
+                      for latency in acc.latencies)
+
     def window(self, tenant: str, now: float) -> WindowStats:
         """The tenant's stats over ``[now - window, now]``."""
-        spec = self._specs[tenant]
-        slo: SloSpec = spec.slo
+        rolling = self._rolling[tenant]
         horizon = now - self.window_ns
-        events = self._events[tenant]
+        events = rolling.events
+        latencies = rolling.latencies
         while events and events[0][0] < horizon:
-            events.popleft()
-        rejects = self._rejects[tenant]
+            _end, latency, payload, ok = events.popleft()
+            if ok:
+                del latencies[bisect_left(latencies, latency)]
+                if latency <= rolling.deadline:
+                    rolling.good_bytes -= payload
+                else:
+                    rolling.violations -= 1
+        rejects = rolling.rejects
         while rejects and rejects[0] < horizon:
             rejects.popleft()
 
-        latencies = sorted(lat for _end, lat, _p, ok in events if ok)
-        good_bytes = sum(p for _end, lat, p, ok in events
-                         if ok and lat <= slo.deadline)
-        violations = sum(1 for _end, lat, _p, ok in events
-                         if ok and lat > slo.deadline)
+        n = len(latencies)
         if latencies:
-            p50 = latencies[max(0, int(0.50 * len(latencies)) - 1)
-                            if len(latencies) > 1 else 0]
-            p99 = latencies[min(len(latencies) - 1,
-                                max(0, int(0.99 * len(latencies))))]
+            p50 = latencies[max(0, int(0.50 * n) - 1) if n > 1 else 0]
+            p99 = latencies[min(n - 1, max(0, int(0.99 * n)))]
         else:
             p50 = p99 = 0.0
         span = min(self.window_ns, now) or 1.0
         return WindowStats(
             tenant=tenant,
             window_ns=self.window_ns,
-            count=len(latencies),
+            count=n,
             p50_ns=p50,
             p99_ns=p99,
-            goodput_gbps=to_gbps(good_bytes / span),
+            goodput_gbps=to_gbps(rolling.good_bytes / span),
             rejected=len(rejects),
-            violations=violations,
+            violations=rolling.violations,
         )

@@ -97,7 +97,7 @@ class _AnalyticTenant:
 
     __slots__ = ("state", "queue", "worker_free", "pending", "sentinels",
                  "armed", "next_seq", "next_at", "resume", "profiles",
-                 "cursors", "degraded_service")
+                 "replay", "degraded_service")
 
     def __init__(self, state, backlog, sentinels, now, n_workers,
                  profiles, degraded_service):
@@ -112,21 +112,26 @@ class _AnalyticTenant:
         self.next_at = now
         self.resume = None                  # handover resume event
         self.profiles: Dict[Opcode, Tuple[float, ...]] = profiles
-        self.cursors: Dict[Opcode, int] = {op: 0 for op in profiles}
+        # [op, profile, cursor] per recorded op.  ``draw`` finds its
+        # entry by identity: an Enum hashes through a Python-level
+        # ``__hash__``, which a dict lookup per request would pay.
+        self.replay = [[op, profile, 0]
+                       for op, profile in profiles.items() if profile]
         self.degraded_service = degraded_service
 
     def draw(self, op: Opcode) -> float:
         """Next service time: cyclic replay of the recorded profile."""
-        profile = self.profiles.get(op)
-        if not profile:
-            # Op never observed under this lease generation (possible
-            # only for a zero-probability op raced onto the stream);
-            # fall back to the mean of everything we have.
-            pooled = [s for p in self.profiles.values() for s in p]
-            return sum(pooled) / len(pooled) if pooled else 1_000.0
-        i = self.cursors[op]
-        self.cursors[op] = (i + 1) % len(profile)
-        return profile[i]
+        for entry in self.replay:
+            if entry[0] is op:
+                profile = entry[1]
+                i = entry[2]
+                entry[2] = (i + 1) % len(profile)
+                return profile[i]
+        # Op never observed under this lease generation (possible only
+        # for a zero-probability op raced onto the stream); fall back to
+        # the mean of everything we have.
+        pooled = [s for p in self.profiles.values() for s in p]
+        return sum(pooled) / len(pooled) if pooled else 1_000.0
 
 
 class HybridController:
@@ -462,15 +467,12 @@ class HybridController:
 
     def _complete(self, t, end: float, seq: int, op: Opcode,
                   arrived: float, degraded: bool) -> None:
-        record = CompletionRecord(
-            tenant=t.spec.name, seq=seq, op=op.value, path=t.lease.path,
+        # ``_value_`` is the member's plain value attribute; ``.value``
+        # goes through a Python-level property on every completion.
+        self.runtime._account(t, CompletionRecord(
+            tenant=t.spec.name, seq=seq, op=op._value_, path=t.lease.path,
             start_ns=arrived, end_ns=end, ok=True, attempts=1,
-            degraded=degraded)
-        t.finished += 1
-        if degraded:
-            t.degraded_served += 1
-        self.runtime.completions.append(record)
-        self.tracker.observe(record, t.spec.payload)
+            degraded=degraded))
         self.analytic_completions += 1
 
     def _release_finished(self, now: float) -> None:

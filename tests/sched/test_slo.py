@@ -1,9 +1,13 @@
 """Unit tests for the rolling SLO windows."""
 
+from hypothesis import given, settings
+
 from repro.sched import SloSpec, SloTracker, TenantSpec
 from repro.sched.tenant import CompletionRecord
 from repro.core.paths import CommPath
 from repro.workloads import OpMix
+from tests.sched.slo_reference import (
+    WINDOW_NS, ScanWindow, calls, drive, spec as reference_spec)
 
 
 def _spec(name="t", deadline=10_000.0):
@@ -66,3 +70,15 @@ def test_lost_and_rejected_accounting():
     assert stats.rejected == 1
     assert tracker.lost["t"] == 1
     assert tracker.rejected["t"] == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ops=calls(["t", "u"]))
+def test_incremental_window_matches_sort_and_scan(ops):
+    """The running window sums and sorted latencies give the same
+    WindowStats as re-sorting and re-scanning the window every call,
+    for any interleaving of observes (ok and lost, out-of-order ends,
+    latencies on and around the deadline), rejects and window queries."""
+    specs = [reference_spec("t"), reference_spec("u")]
+    drive(SloTracker(specs, window_ns=WINDOW_NS),
+          ScanWindow(specs, WINDOW_NS), ops)

@@ -1,11 +1,14 @@
 """Unit tests for SloTracker.merge (the sharded-run fold)."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.core.paths import CommPath
 from repro.sched import SloSpec, SloTracker, TenantSpec
 from repro.sched.tenant import CompletionRecord
 from repro.workloads import OpMix
+from tests.sched.slo_reference import (
+    WINDOW_NS, ScanWindow, calls, drive, spec as reference_spec)
 
 
 def _spec(name, deadline=10_000.0):
@@ -111,3 +114,26 @@ def test_merge_reject_streams_interleave():
     # must both be dropped even though they came from different shards.
     assert left.window("t", 170_000.0).rejected == 2
     assert left.rejected["t"] == 4
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(left_ops=calls(["shared", "left"]),
+       right_ops=calls(["shared", "right"]),
+       after_ops=calls(["shared", "left", "right"]))
+def test_merge_rebuilds_incremental_window_for_shared_tenant(
+        left_ops, right_ops, after_ops):
+    """Two trackers that share a tenant, each fed and queried on its
+    own, merge into one whose rolling window still matches the
+    sort-and-scan reference on every later call."""
+    def pair(names):
+        specs = [reference_spec(name) for name in names]
+        return (SloTracker(specs, window_ns=WINDOW_NS),
+                ScanWindow(specs, WINDOW_NS))
+
+    left, left_ref = pair(["shared", "left"])
+    right, right_ref = pair(["shared", "right"])
+    left_clock = drive(left, left_ref, left_ops)
+    right_clock = drive(right, right_ref, right_ops)
+    left.merge(right)
+    left_ref.merge(right_ref)
+    drive(left, left_ref, after_ops, clock=max(left_clock, right_clock))
