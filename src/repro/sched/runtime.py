@@ -38,7 +38,7 @@ from repro.rdma.verbs import RdmaContext
 from repro.sched.policy import Placement
 from repro.sched.slo import SloTracker
 from repro.sched.tenant import CompletionRecord, TenantSpec
-from repro.units import gbps, gib_per_s, to_mpps
+from repro.units import gbps, gib_per_s, to_gbps, to_mpps
 from repro.sim import Store
 from repro.sim.links import LOST
 from repro.workloads import RangeLimitedPattern, RequestStream, UniformPattern
@@ -113,10 +113,13 @@ class ServingRuntime:
     """Executes tenant streams against the cluster under lease control."""
 
     MAX_ATTEMPTS = 6
+    #: Per-path bandwidth counts ok completions ending after this many
+    #: control ticks.
+    WARMUP_TICKS = 2
 
     def __init__(self, cluster: SimCluster, ctx: RdmaContext,
                  tenants: Iterable[TenantSpec], tracker: SloTracker, *,
-                 warmup_ns: float):
+                 control_interval_ns: float):
         self.cluster = cluster
         self.ctx = ctx
         self.sim = cluster.sim
@@ -125,11 +128,11 @@ class ServingRuntime:
         names = [t.name for t in self.specs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
-        #: Per-path steady-state delivery: path value -> [bytes, last
-        #: end_ns], over ok completions ending after ``warmup_ns``, in
-        #: the order each path first delivered one.
-        self.warmup_ns = warmup_ns
-        self.path_totals: Dict[str, List[float]] = {}
+        # Per-path steady-state delivery: path value -> [bytes, last
+        # end_ns], over ok completions ending after the warm-up, in the
+        # order each path first delivered one.
+        self._warmup_ns = self.WARMUP_TICKS * control_interval_ns
+        self._path_totals: Dict[str, List[float]] = {}
         # Hybrid-engine hook (repro.sim.hybrid).  None on pure-DES runs:
         # every touch point guards with one ``is not None`` check, so
         # the default engine's event sequence is untouched.
@@ -196,6 +199,25 @@ class ServingRuntime:
         if not placement.degraded:
             self._connect(t)
         return lease
+
+    # -- completion accounting (read by the report) -------------------------
+
+    def completion_span_ns(self, tenant: str) -> float:
+        """First start to last end over the tenant's completions, ok or
+        not; 0 if none completed."""
+        t = self._tenants[tenant]
+        return (t.last_end - t.first_start) if t.finished else 0.0
+
+    def degraded(self, tenant: str) -> int:
+        """Completions the tenant's degraded (host-relay) lease served."""
+        return self._tenants[tenant].degraded_total
+
+    def path_gbps(self) -> Dict[str, float]:
+        """Steady-state delivered bandwidth per path value, from ok
+        completions ending after the warm-up."""
+        warmup_ns = self._warmup_ns
+        return {path: to_gbps(nbytes / ((last_end - warmup_ns) or 1.0))
+                for path, (nbytes, last_end) in self._path_totals.items()}
 
     @property
     def soc_available(self) -> bool:
@@ -425,7 +447,7 @@ class ServingRuntime:
         # overhead outside the machine: fold it in by backdating the
         # start so latency_ns reports the user-observed value while the
         # in-machine event sequence stays byte-identical to ingress=0.
-        self._account(t, CompletionRecord(
+        self.account(t, CompletionRecord(
             tenant=t.spec.name, seq=seq, op=op.value, path=t.lease.path,
             start_ns=arrived_ns - t.spec.ingress_ns, end_ns=self.sim.now,
             ok=ok, attempts=attempts, degraded=degraded))
@@ -438,9 +460,9 @@ class ServingRuntime:
                 xshard.ship_bulk(t.spec.name, export.dst_shard,
                                  t.spec.payload)
 
-    def _account(self, t: _TenantState, record: CompletionRecord) -> None:
-        """Fold one completion into the running aggregates and the
-        tracker; nothing keeps the record itself."""
+    def account(self, t: _TenantState, record: CompletionRecord) -> None:
+        """Fold one completion of tenant state ``t`` into the running
+        aggregates and the tracker; nothing keeps the record itself."""
         t.finished += 1
         if record.degraded:
             t.degraded_total += 1
@@ -450,14 +472,14 @@ class ServingRuntime:
         if end > t.last_end:
             t.last_end = end
         payload = t.spec.payload
-        if record.ok and end > self.warmup_ns:
+        if record.ok and end > self._warmup_ns:
             # Keyed by ``_value_``, the member's plain value attribute:
             # hashing the enum itself, or reading ``.value``, runs
             # Python-level code on every completion.
             path = record.path._value_
-            totals = self.path_totals.get(path)
+            totals = self._path_totals.get(path)
             if totals is None:
-                self.path_totals[path] = [payload, end]
+                self._path_totals[path] = [payload, end]
             else:
                 totals[0] += payload
                 if end > totals[1]:

@@ -239,10 +239,9 @@ class ServeSession:
             self.cluster.install_faults(faults, seed=fault_seed)
         self.ctx = RdmaContext(self.cluster)
         self.tracker = SloTracker(tenants, window_ns=window_ns)
-        # Per-path bandwidth is counted after two control ticks.
         self.runtime = ServingRuntime(self.cluster, self.ctx, tenants,
                                       self.tracker,
-                                      warmup_ns=2 * interval_ns)
+                                      control_interval_ns=interval_ns)
         self.channel = channel
         if channel is not None:
             channel.bind(self)
@@ -365,7 +364,7 @@ class ServeSession:
             tenants=_tenant_reports(self.tenants, self.runtime,
                                     self.tracker, self.decisions),
             decisions=self.decisions,
-            path_gbps=_path_gbps(self.runtime),
+            path_gbps=self.runtime.path_gbps(),
             counters=dict(self.telemetry.delta(
                 self._telemetry_start).deltas),
             tracer=self.tracer,
@@ -412,10 +411,9 @@ def _tenant_reports(tenants: Sequence[TenantSpec], runtime: ServingRuntime,
                     decisions: Sequence[Decision]) -> Dict[str, TenantReport]:
     reports: Dict[str, TenantReport] = {}
     for spec in tenants:
-        t = runtime._tenants[spec.name]
         ok = tracker.ok_latencies(spec.name)
         in_slo = bisect_right(ok, spec.slo.deadline)
-        span = ((t.last_end - t.first_start) if t.finished else 0.0) or 1.0
+        span = runtime.completion_span_ns(spec.name) or 1.0
         good_bytes = spec.payload * len(ok)
         slo_bytes = spec.payload * in_slo
         lease = runtime.lease(spec.name)
@@ -428,7 +426,7 @@ def _tenant_reports(tenants: Sequence[TenantSpec], runtime: ServingRuntime,
             completed=tracker.completed[spec.name],
             rejected=tracker.rejected[spec.name],
             lost=tracker.lost[spec.name],
-            degraded=t.degraded_total,
+            degraded=runtime.degraded(spec.name),
             p50_ns=ok[len(ok) // 2] if ok else 0.0,
             p99_ns=(ok[min(len(ok) - 1, int(0.99 * len(ok)))]
                     if ok else 0.0),
@@ -438,10 +436,3 @@ def _tenant_reports(tenants: Sequence[TenantSpec], runtime: ServingRuntime,
             migrations=moves,
         )
     return reports
-
-
-def _path_gbps(runtime: ServingRuntime) -> Dict[str, float]:
-    """Steady-state delivered bandwidth per path, from completions."""
-    warmup_ns = runtime.warmup_ns
-    return {path: to_gbps(nbytes / ((last_end - warmup_ns) or 1.0))
-            for path, (nbytes, last_end) in runtime.path_totals.items()}

@@ -96,8 +96,8 @@ class _AnalyticTenant:
     """One tenant's deterministic recurrence state while fast-forwarded."""
 
     __slots__ = ("state", "queue", "worker_free", "pending", "sentinels",
-                 "armed", "next_seq", "next_at", "resume", "profiles",
-                 "replay", "degraded_service")
+                 "armed", "next_seq", "next_at", "resume", "replay",
+                 "fallback", "degraded_service")
 
     def __init__(self, state, backlog, sentinels, now, n_workers,
                  profiles, degraded_service):
@@ -111,12 +111,16 @@ class _AnalyticTenant:
         self.next_seq = state.spec.requests
         self.next_at = now
         self.resume = None                  # handover resume event
-        self.profiles: Dict[Opcode, Tuple[float, ...]] = profiles
         # [op, profile, cursor] per recorded op.  ``draw`` finds its
         # entry by identity: an Enum hashes through a Python-level
         # ``__hash__``, which a dict lookup per request would pay.
         self.replay = [[op, profile, 0]
                        for op, profile in profiles.items() if profile]
+        # Service time for an op never observed under this lease
+        # generation (possible only for a zero-probability op raced
+        # onto the stream): the mean of everything recorded.
+        pooled = [s for p in profiles.values() for s in p]
+        self.fallback = sum(pooled) / len(pooled) if pooled else 1_000.0
         self.degraded_service = degraded_service
 
     def draw(self, op: Opcode) -> float:
@@ -127,11 +131,7 @@ class _AnalyticTenant:
                 i = entry[2]
                 entry[2] = (i + 1) % len(profile)
                 return profile[i]
-        # Op never observed under this lease generation (possible only
-        # for a zero-probability op raced onto the stream); fall back to
-        # the mean of everything we have.
-        pooled = [s for p in self.profiles.values() for s in p]
-        return sum(pooled) / len(pooled) if pooled else 1_000.0
+        return self.fallback
 
 
 class HybridController:
@@ -469,7 +469,7 @@ class HybridController:
                   arrived: float, degraded: bool) -> None:
         # ``_value_`` is the member's plain value attribute; ``.value``
         # goes through a Python-level property on every completion.
-        self.runtime._account(t, CompletionRecord(
+        self.runtime.account(t, CompletionRecord(
             tenant=t.spec.name, seq=seq, op=op._value_, path=t.lease.path,
             start_ns=arrived, end_ns=end, ok=True, attempts=1,
             degraded=degraded))
