@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import _parse_size, main
+
+
+SWEEP_GOLDEN = Path(__file__).parent / "golden" / "sweep"
 
 
 def run(capsys, *argv):
@@ -58,9 +62,10 @@ def test_throughput_with_doorbell(capsys):
 @pytest.mark.parametrize("figure", ["fig4", "fig7", "fig8", "fig9",
                                     "fig10", "fig11"])
 def test_sweep_commands(capsys, figure):
+    """Every figure table is pinned byte for byte (tests/golden/sweep)."""
     code, out, _ = run(capsys, "sweep", figure)
     assert code == 0
-    assert "Fig" in out
+    assert out == (SWEEP_GOLDEN / f"{figure}.txt").read_text()
 
 
 @pytest.mark.parametrize("engine", ["scalar", "auto"])
