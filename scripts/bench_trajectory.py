@@ -41,18 +41,12 @@ import time
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.core.batch import BatchSolver, numpy_available    # noqa: E402
 from repro.core.harness import LatencyBench, ThroughputBench   # noqa: E402
 from repro.faults.bench import faulted_sweep                 # noqa: E402
 from repro.core.cache import clear_all, registered_caches    # noqa: E402
 from repro.core.paths import CommPath, Opcode                # noqa: E402
 from repro.core.sweeps import SweepRunner                    # noqa: E402
-from repro.core.throughput import (                          # noqa: E402
-    Flow,
-    Scenario,
-    ThroughputSolver,
-    configure_result_cache,
-)
+from repro.core.throughput import configure_result_cache    # noqa: E402
 from repro.net.topology import paper_testbed                 # noqa: E402
 from repro.sim import Simulator                              # noqa: E402
 from repro.units import KB, MB                               # noqa: E402
@@ -70,24 +64,6 @@ FIG4_PAYLOADS = [64, 256, 1024, 4 * KB, 16 * KB, 64 * KB]
 FIG8_PAYLOADS = [64 * KB, 256 * KB, 1 * MB, 2 * MB, 4 * MB, 8 * MB]
 PATHS = [CommPath.RNIC1, CommPath.SNIC1, CommPath.SNIC2]
 
-#: The vector-engine acceptance grid: a dense Fig-4 payload ramp
-#: (0 plus a geometric 64 B .. 1 MB sweep) across four paths and three
-#: verbs — 384 single-flow points.
-VECTOR_PATHS = [CommPath.RNIC1, CommPath.SNIC1, CommPath.SNIC2,
-                CommPath.SNIC3_H2S]
-VECTOR_OPS = [Opcode.READ, Opcode.WRITE, Opcode.SEND]
-
-
-def vector_payloads(n: int = 32) -> list:
-    vals = {0}
-    step = (1 * MB) ** (1.0 / (n - 2))
-    x = 64.0
-    while len(vals) < n:
-        vals.add(int(x))
-        x *= step
-    return sorted(vals)[:n]
-
-
 def smoke_sweep(testbed) -> int:
     """The fixed workload; returns the number of points evaluated."""
     runner = SweepRunner(testbed)
@@ -103,51 +79,6 @@ def smoke_sweep(testbed) -> int:
                          requesters=11, metric="gbps")
         points += len(FIG8_PAYLOADS)
     return points
-
-
-def vector_sweep(testbed, reps: int = 5) -> dict:
-    """Scalar vs vector cold wall-time over the 384-point Fig-4 grid.
-
-    Both engines run against cleared caches each repetition; the best
-    (minimum) time of ``reps`` repetitions is recorded, the standard
-    way to strip scheduler noise from a microbenchmark.
-    """
-    grid = [[Flow(path=path, op=op, payload=payload, requesters=11)]
-            for path in VECTOR_PATHS for op in VECTOR_OPS
-            for payload in vector_payloads()]
-    if not numpy_available():
-        return {"points": len(grid), "skipped": "numpy not installed"}
-
-    solver = ThroughputSolver()
-    batch = BatchSolver()
-
-    def best(fn) -> float:
-        low = float("inf")
-        for _ in range(reps):
-            clear_all()
-            start = time.perf_counter()
-            fn()
-            low = min(low, time.perf_counter() - start)
-        return low
-
-    scalar_s = best(lambda: [solver.solve(Scenario(testbed, flows))
-                             for flows in grid])
-    vector_s = best(lambda: batch.solve(testbed, grid))
-
-    clear_all()
-    batch.solve(testbed, grid)           # fill the result cache
-    start = time.perf_counter()
-    batch.solve(testbed, grid)
-    warm_s = time.perf_counter() - start
-
-    return {
-        "points": len(grid),
-        "scalar_cold_s": round(scalar_s, 4),
-        "vector_cold_s": round(vector_s, 4),
-        "vector_warm_s": round(warm_s, 4),
-        "vector_points_per_sec": round(len(grid) / vector_s),
-        "speedup_vs_scalar": round(scalar_s / vector_s, 2),
-    }
 
 
 def des_microbench(processes: int = 100, rounds: int = 200) -> dict:
@@ -536,7 +467,7 @@ def main(argv=None) -> int:
     reps = args.reps if args.reps is not None else (3 if args.check else 1)
 
     testbed = paper_testbed()
-    configure_result_cache(enabled=True, disk_dir=None)
+    configure_result_cache(enabled=True)
 
     points, cold_s, warm_s = timed_smoke(testbed, reps=reps)
     if args.check:
@@ -564,7 +495,6 @@ def main(argv=None) -> int:
             "warm_speedup": round(cold_s / warm_s, 1) if warm_s else None,
             "caches": caches,
         },
-        "vector_sweep": vector_sweep(testbed),
         "des": des_microbench(),
         # Pure DES vs the hybrid analytic/DES serving engine on the
         # same adaptive multi-tenant scenario (same-answer speedup).

@@ -23,12 +23,6 @@ from repro.core.throughput import (
     SolverResult,
     ThroughputSolver,
 )
-from repro.core.batch import (
-    BatchSolver,
-    DemandTensor,
-    ResourceRegistry,
-    numpy_available,
-)
 from repro.core.options import RunOptions
 from repro.core.sweeps import StageTimings, SweepRunner
 from repro.core.latency import LatencyModel, LatencyBreakdown
@@ -63,10 +57,6 @@ __all__ = [
     "Scenario",
     "SolverResult",
     "ThroughputSolver",
-    "BatchSolver",
-    "DemandTensor",
-    "ResourceRegistry",
-    "numpy_available",
     "RunOptions",
     "StageTimings",
     "SweepRunner",

@@ -12,10 +12,8 @@ Layers:
 * :func:`fingerprint` — a hashable tuple describing any spec object
   (frozen dataclasses, enums, NIC wrappers) by value;
 * :class:`ScenarioKey` — (testbed fingerprint, flow fingerprints), the
-  solver cache key, with a stable hex digest for on-disk filenames;
-* :class:`LRUCache` — bounded in-memory memo with hit/miss counters;
-* :class:`SolverCache` — an :class:`LRUCache` with an optional on-disk
-  JSON layer so repeated points are free across *processes* too.
+  solver cache key;
+* :class:`LRUCache` — bounded in-memory memo with hit/miss counters.
 
 Counters from every registered cache are aggregated by
 :func:`counter_snapshot`, which :mod:`repro.telemetry` surfaces next to
@@ -26,13 +24,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
-import json
-import os
 import weakref
 from collections import OrderedDict
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 #: Every cache created with ``register=True`` reports into
 #: :func:`counter_snapshot` under its ``name``.
@@ -86,7 +81,7 @@ class _Interned:
     Testbed fingerprints are deep tuples with hundreds of atoms;
     hashing one costs microseconds and every cache get re-hashes the
     key.  Wrapping the tuple caches the hash while keeping equality
-    and ``repr`` (the disk-digest input) identical to the raw value.
+    and ``repr`` identical to the raw value.
     """
 
     __slots__ = ("value", "_hash")
@@ -181,12 +176,6 @@ class ScenarioKey:
         return cls(testbed=testbed_fingerprint(testbed),
                    flows=tuple(_flow_fingerprint(flow) for flow in flows))
 
-    @property
-    def digest(self) -> str:
-        """A stable hex digest, suitable as an on-disk filename."""
-        raw = repr((self.testbed, self.flows)).encode()
-        return hashlib.sha256(raw).hexdigest()
-
 
 # ---------------------------------------------------------------------------
 # In-memory LRU
@@ -234,18 +223,6 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
 
-    def absorb(self, hits: int = 0, misses: int = 0,
-               disk_hits: int = 0) -> None:
-        """Fold counter deltas from another process into this cache.
-
-        Sweep worker processes each hold their own cache instances;
-        the parent adds their per-chunk hit/miss deltas here so
-        ``--cache-stats`` reflects work done anywhere.  ``disk_hits``
-        is accepted (and ignored) for cache types without a disk layer.
-        """
-        self.hits += hits
-        self.misses += misses
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -264,75 +241,6 @@ def memoized(cache: LRUCache, key, compute: Callable[[], Any]):
         value = compute()
         cache.put(key, value)
     return value
-
-
-# ---------------------------------------------------------------------------
-# Solver cache: LRU + optional disk layer
-# ---------------------------------------------------------------------------
-
-
-class SolverCache(LRUCache):
-    """Memoized solver results with an optional on-disk JSON layer.
-
-    ``encode``/``decode`` translate a result to/from a JSON-compatible
-    object; they are injected by :mod:`repro.core.throughput` to keep
-    this module free of model imports.  JSON float round-trips are exact
-    (shortest-repr), so disk hits are bit-identical to cold solves.
-    """
-
-    def __init__(self, maxsize: int = 8192, name: str = "solver",
-                 disk_dir: Optional[str] = None,
-                 encode: Optional[Callable[[Any], Any]] = None,
-                 decode: Optional[Callable[[Any], Any]] = None,
-                 register: bool = True):
-        super().__init__(maxsize=maxsize, name=name, register=register)
-        self.disk_dir = disk_dir
-        self.encode = encode
-        self.decode = decode
-        self.disk_hits = 0
-
-    def _disk_path(self, key: ScenarioKey) -> str:
-        return os.path.join(self.disk_dir, f"{key.digest}.json")
-
-    def get(self, key):
-        value = super().get(key)
-        if value is not None:
-            return value
-        if self.disk_dir and self.decode is not None:
-            try:
-                with open(self._disk_path(key)) as handle:
-                    value = self.decode(json.load(handle))
-            except (OSError, ValueError, KeyError):
-                return None
-            self.disk_hits += 1
-            self.misses -= 1  # count the disk hit as a hit, not a miss
-            self.hits += 1
-            super().put(key, value)
-            return value
-        return None
-
-    def put(self, key, value) -> None:
-        super().put(key, value)
-        if self.disk_dir and self.encode is not None:
-            try:
-                os.makedirs(self.disk_dir, exist_ok=True)
-                path = self._disk_path(key)
-                tmp = f"{path}.tmp.{os.getpid()}"
-                with open(tmp, "w") as handle:
-                    json.dump(self.encode(value), handle)
-                os.replace(tmp, path)
-            except OSError:
-                pass  # disk layer is best-effort
-
-    def absorb(self, hits: int = 0, misses: int = 0,
-               disk_hits: int = 0) -> None:
-        super().absorb(hits, misses)
-        self.disk_hits += disk_hits
-
-    def counters(self) -> Dict[str, float]:
-        out = super().counters()
-        out[f"{self.name}.disk_hits"] = self.disk_hits
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,22 +32,12 @@ class FlowPattern:
 
 
 class ConcurrencyAnalyzer:
-    """Runs flow combinations through the throughput solver.
-
-    ``engine`` selects the solver backend for batched combination
-    queries (see :meth:`combine_all`): ``"auto"`` (the default) solves
-    every named combination as one numpy demand tensor when numpy is
-    installed — concurrent-flow proportional scaling happens inside the
-    same tensor — and falls back to the scalar per-combination solver
-    otherwise.
-    """
+    """Runs flow combinations through the throughput solver."""
 
     def __init__(self, testbed: Testbed,
-                 solver: Optional[ThroughputSolver] = None,
-                 engine: str = "auto"):
+                 solver: Optional[ThroughputSolver] = None):
         self.testbed = testbed
         self.solver = solver or ThroughputSolver()
-        self.engine = engine
 
     def combine(self, flows: Sequence[Flow]) -> SolverResult:
         """Solve an arbitrary combination of flows."""
@@ -55,16 +45,8 @@ class ConcurrencyAnalyzer:
 
     def combine_all(self, named: Dict[str, Sequence[Flow]]
                     ) -> Dict[str, SolverResult]:
-        """Solve several named combinations, batched when possible.
-
-        With the vector engine all combinations share one demand
-        tensor; with the scalar engine each is solved in turn.  Both
-        give the same numbers — the batch is purely a wall-time win
-        for wide comparison grids.
-        """
-        results = Scenario.solve_batch(self.testbed, list(named.values()),
-                                       engine=self.engine)
-        return dict(zip(named.keys(), results))
+        """Solve several named combinations, one scenario each."""
+        return {name: self.combine(flows) for name, flows in named.items()}
 
     # -- Fig 5: direction combinations per path ------------------------------------
 

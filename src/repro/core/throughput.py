@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.cache import (
     LRUCache,
     ScenarioKey,
-    SolverCache,
     fingerprint,
     memoized,
     testbed_fingerprint,
@@ -133,48 +132,6 @@ class Scenario:
         if self._demands is None:
             self._demands = self._build_all()
         return self._demands
-
-    @classmethod
-    def solve_batch(cls, testbed: Testbed, flow_sets: Sequence,
-                    engine: str = "auto", use_cache: bool = True,
-                    timings=None) -> List["SolverResult"]:
-        """Solve many scenarios at once, one :class:`SolverResult` each.
-
-        ``flow_sets`` is a sequence of flow lists (or prebuilt
-        scenarios).  ``engine`` selects the implementation:
-
-        * ``"vector"`` — the numpy demand-tensor engine
-          (:mod:`repro.core.batch`); raises ``ValueError`` when numpy
-          is not installed,
-        * ``"scalar"`` — the per-point reference solver,
-        * ``"auto"`` — vector when numpy is importable, else scalar.
-
-        Both engines share :data:`RESULT_CACHE` and agree on every
-        solved rate, so the choice only affects wall-time.
-        """
-        from repro.core import batch
-
-        if engine not in ("scalar", "vector", "auto"):
-            raise ValueError(f"unknown engine: {engine!r}")
-        if engine == "auto":
-            engine = "vector" if batch.numpy_available() else "scalar"
-        if engine == "vector":
-            return batch.BatchSolver().solve(testbed, flow_sets,
-                                             use_cache=use_cache,
-                                             timings=timings)
-        import time as _time
-        from contextlib import nullcontext
-        solver = ThroughputSolver()
-        scenarios = [flows if isinstance(flows, cls)
-                     else cls(testbed, list(flows)) for flows in flow_sets]
-        start = _time.perf_counter()
-        with (timings.stage("solve") if timings is not None
-              else nullcontext()):
-            results = [solver.solve(s, use_cache=use_cache)
-                       for s in scenarios]
-        batch.ENGINE_STATS.record("scalar", len(scenarios),
-                                  _time.perf_counter() - start)
-        return results
 
     # -- demand construction ------------------------------------------------------
 
@@ -605,54 +562,18 @@ class ThroughputSolver:
 
 
 # ---------------------------------------------------------------------------
-# Result cache (in-memory LRU + optional disk layer)
+# Result cache
 # ---------------------------------------------------------------------------
 
 
-def _flow_to_json(flow: Flow) -> dict:
-    return {"path": flow.path.value, "op": flow.op.value,
-            "payload": flow.payload, "requesters": flow.requesters,
-            "range_bytes": flow.range_bytes,
-            "doorbell_batch": flow.doorbell_batch, "weight": flow.weight,
-            "rate_cap": flow.rate_cap, "label": flow.label}
-
-
-def _flow_from_json(obj: dict) -> Flow:
-    return Flow(path=CommPath(obj["path"]), op=Opcode(obj["op"]),
-                payload=obj["payload"], requesters=obj["requesters"],
-                range_bytes=obj["range_bytes"],
-                doorbell_batch=obj["doorbell_batch"], weight=obj["weight"],
-                rate_cap=obj["rate_cap"], label=obj["label"])
-
-
-def _result_encode(result: SolverResult) -> dict:
-    return {"flows": [_flow_to_json(f) for f in result.flows],
-            "rates": result.rates, "bottlenecks": result.bottlenecks,
-            "utilization": result.utilization}
-
-
-def _result_decode(obj: dict) -> SolverResult:
-    return SolverResult(flows=[_flow_from_json(f) for f in obj["flows"]],
-                        rates=list(obj["rates"]),
-                        bottlenecks=list(obj["bottlenecks"]),
-                        utilization=dict(obj["utilization"]))
-
-
 #: Memoized ``SolverResult``s keyed by :class:`ScenarioKey`.
-RESULT_CACHE = SolverCache(maxsize=1 << 13, name="solver",
-                           encode=_result_encode, decode=_result_decode)
+RESULT_CACHE = LRUCache(maxsize=1 << 13, name="solver")
 
 _cache_enabled = True
 
 
-def configure_result_cache(enabled: bool = True,
-                           disk_dir: Optional[str] = None) -> SolverCache:
-    """Switch the solver result cache on/off and set its disk layer.
-
-    ``disk_dir`` enables a JSON file per scenario under that directory,
-    making repeated points free across processes and CLI invocations.
-    """
+def configure_result_cache(enabled: bool = True) -> LRUCache:
+    """Switch the solver result cache on or off."""
     global _cache_enabled
     _cache_enabled = enabled
-    RESULT_CACHE.disk_dir = disk_dir
     return RESULT_CACHE

@@ -6,7 +6,7 @@ nanosecond.  The default :class:`~repro.sim.engine.Simulator` pays a
 heap sift per event; :class:`BatchSimulator` instead keeps one heap
 entry per *distinct timestamp* and a per-timestamp bucket of packed
 ``(priority, seq)`` keys, sorted once per batch (C timsort, or a numpy
-``argsort`` for large batches when the ``[fast]`` extra is installed —
+``argsort`` for large batches when numpy is installed —
 the scalar path is always available and CI runs it with numpy absent).
 
 The observable event order is identical to the default engine,

@@ -4,7 +4,7 @@ Everything the validation layer estimates funnels through this module,
 so the numerics live in exactly one place and carry their own tests
 (``tests/stats/test_kernels.py`` checks the t quantiles against known
 table values and the estimators against synthetic streams with known
-means).  Pure stdlib — no scipy, no numpy — because the toolkit's only
+means).  Pure stdlib — no third-party packages — because the toolkit's only
 hard dependency is CPython.
 
 The central type is :class:`Estimate`: a ``(mean, half_width)`` pair

@@ -1,9 +1,8 @@
 """Cross-seed replication of serving scenarios, pooled and cached.
 
 ``replicate("adaptive", seeds=5)`` runs the named scenario family once
-per seed — serially, or fanned out over the same process-pool
-machinery :class:`~repro.core.sweeps.SweepRunner` uses for solver
-sweeps — and wraps the reports in a :class:`Replication` that answers
+per seed — serially, or fanned out over a process pool — and wraps
+the reports in a :class:`Replication` that answers
 the statistical questions: the cross-seed mean ± CI of any per-tenant
 metric, the warm-up-truncated batch-means CI within one run, and the
 invariant verdicts over every replicate.
@@ -75,17 +74,6 @@ def _run_one(family: str, seed: int, duration_ns: float, engine: str):
     kwargs = dict(families[family])
     factory = kwargs.pop("factory")
     return run_serve(factory(), engine=engine, **kwargs)
-
-
-# -- pool plumbing (module-level so it pickles) -------------------------------
-
-
-def _pool_replicate(tasks: Sequence[Tuple[str, int, float, str]]):
-    from repro.core.sweeps import _counter_delta, _counter_state
-
-    before = _counter_state()
-    reports = [_run_one(*task) for task in tasks]
-    return reports, _counter_delta(before)
 
 
 def report_estimate(report, tenant: str, field: str = "p99_ns",
@@ -180,13 +168,11 @@ def replicate(family: str, seeds: Union[int, Sequence[int]] = 3,
     """Run ``family`` once per seed and wrap the runs for estimation.
 
     ``seeds`` is either a count (replicates at ``base_seed ..
-    base_seed + N - 1``) or an explicit sequence.  ``jobs > 1`` fans
-    uncached replicates out over a process pool (the
-    :class:`~repro.core.sweeps.SweepRunner` machinery: chunked
-    ``Executor.map``, worker cache counters absorbed back into the
-    parent).  Replicates are cached under ``(family, seed, duration,
-    engine)`` — cross-seed estimates over a family already validated
-    cost nothing.
+    base_seed + N - 1``) or an explicit sequence.  ``jobs > 1`` runs
+    uncached replicates on that many worker processes, one replicate
+    per task, returned in seed order.  Replicates are cached under
+    ``(family, seed, duration, engine)`` — cross-seed estimates over a
+    family already validated cost nothing.
     """
     if isinstance(seeds, int):
         if seeds < 1:
@@ -223,11 +209,10 @@ def replicate(family: str, seeds: Union[int, Sequence[int]] = 3,
     if missing:
         tasks = [(family, seed, duration_ns, engine) for seed in missing]
         if jobs > 1 and len(tasks) > 1:
-            from repro.core.sweeps import SweepRunner
-            from repro.net.topology import paper_testbed
+            from concurrent.futures import ProcessPoolExecutor
 
-            runner = SweepRunner(paper_testbed(), jobs=jobs, chunk_size=1)
-            fresh = runner._map(_pool_replicate, tasks)
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                fresh = list(pool.map(_run_one, *zip(*tasks)))
         else:
             fresh = [_run_one(*task) for task in tasks]
         for seed, report in zip(missing, fresh):

@@ -140,26 +140,13 @@ class Telemetry:
 # ---------------------------------------------------------------------------
 
 
-def perf_counters() -> Dict[str, float]:
-    """Counters of every model result cache plus the solver engines.
-
-    These sit alongside the simulated hardware counters: the same
-    monitoring surface reports both what the simulated device did and
-    how cheaply the models produced it.  ``engine.<name>.points`` /
-    ``.batches`` / ``.solve_s`` account for which solver backend
-    (scalar or vector) solved how many points in how much wall-time.
-    """
-    from repro.core.batch import ENGINE_STATS
-    from repro.core.cache import counter_snapshot
-
-    counters = counter_snapshot()
-    counters.update(ENGINE_STATS.counters())
-    return counters
-
-
 def perf_report() -> str:
-    """Formatted tables of cache counters and per-engine solve stats."""
-    from repro.core.batch import ENGINE_STATS
+    """A formatted table of the model result caches' counters.
+
+    It sits alongside the simulated hardware counters: the same
+    monitoring surface reports both what the simulated device did and
+    how cheaply the models produced it.
+    """
     from repro.core.cache import registered_caches
 
     rows = []
@@ -168,18 +155,5 @@ def perf_report() -> str:
         rows.append([cache.name, f"{cache.hits:g}", f"{cache.misses:g}",
                      f"{len(cache):g}",
                      f"{cache.hit_rate:.0%}" if total else "-"])
-    out = format_table(["cache", "hits", "misses", "entries", "hit rate"],
-                       rows, title="model result caches")
-    if ENGINE_STATS.points:
-        engine_rows = []
-        for engine in sorted(ENGINE_STATS.points):
-            points = ENGINE_STATS.points[engine]
-            seconds = ENGINE_STATS.seconds[engine]
-            rate = f"{points / seconds:,.0f}" if seconds > 0 else "-"
-            engine_rows.append([engine, f"{points:g}",
-                                f"{ENGINE_STATS.batches[engine]:g}",
-                                f"{seconds * 1e3:.2f}", rate])
-        out += "\n\n" + format_table(
-            ["engine", "points", "batches", "solve ms", "points/s"],
-            engine_rows, title="solver engines")
-    return out
+    return format_table(["cache", "hits", "misses", "entries", "hit rate"],
+                        rows, title="model result caches")

@@ -50,7 +50,7 @@ def _rng(seed: int, *key) -> random.Random:
 
 def _poisson(rng: random.Random, lam: float) -> int:
     """Poisson draw: Knuth's product method, normal approximation for
-    large means (stdlib only — no numpy dependency)."""
+    large means (stdlib only)."""
     if lam <= 0:
         return 0
     if lam > 30.0:

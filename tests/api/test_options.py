@@ -11,25 +11,29 @@ from repro.net.topology import paper_testbed
 
 def test_defaults():
     options = RunOptions()
-    assert options.engine == "auto"
+    assert options.engine == "event"
     assert options.jobs == 0
     assert options.cache
-    assert options.disk_cache is None
     assert not options.profile
 
 
 def test_validation():
     with pytest.raises(ValueError, match="unknown engine"):
         RunOptions(engine="quantum")
+    # Solver backends are not serving engines.
+    for engine in ("scalar", "vector", "auto"):
+        with pytest.raises(ValueError, match="unknown engine"):
+            RunOptions(engine=engine)
+    assert RunOptions(engine="hybrid").engine == "hybrid"
     with pytest.raises(ValueError, match="jobs"):
         RunOptions(jobs=-1)
 
 
 def test_runner_carries_the_options():
-    runner = RunOptions(engine="scalar", jobs=0).runner(paper_testbed())
+    testbed = paper_testbed()
+    runner = RunOptions(engine="hybrid", jobs=2).runner(testbed)
     assert isinstance(runner, SweepRunner)
-    assert runner.engine == "scalar"
-    assert runner.jobs == 0
+    assert runner.testbed is testbed
     assert runner.timings is None
 
 
@@ -41,11 +45,12 @@ def test_profile_attaches_timings():
 def test_argparse_round_trip():
     parser = argparse.ArgumentParser()
     RunOptions.add_arguments(parser)
-    args = parser.parse_args(["--jobs", "2", "--engine", "scalar",
-                              "--no-cache", "--profile"])
+    args = parser.parse_args(["--no-cache", "--profile"])
     options = RunOptions.from_args(args)
-    assert options == RunOptions(engine="scalar", jobs=2, cache=False,
-                                 profile=True)
+    assert options == RunOptions(cache=False, profile=True)
+    for removed in ("--jobs", "--engine", "--disk-cache", "--machines",
+                    "--population-seed"):
+        assert removed not in parser.format_help()
 
 
 def test_from_args_tolerates_missing_attributes():

@@ -47,12 +47,14 @@ def test_throughput_point(session):
 
 
 def test_sweeps_run_through_the_session_options():
-    session = Session(options=RunOptions(engine="scalar"))
+    session = Session(options=RunOptions(profile=True))
     sweep = session.throughput_sweep("1", "read", [64, 512, 4096])
     assert sweep.xs() == [64, 512, 4096]
     lat = session.latency_sweep("2", "read", [64, 4096])
     assert len(lat.points) == 2
     assert all(v > 0 for v in lat.values())
+    timings = session.throughput_bench.runner.timings
+    assert timings is not None and timings.calls["solve"] >= 1
 
 
 def test_benches_are_lazy_and_cached(session):

@@ -1,19 +1,18 @@
 """Correctness of the sweep engine and the content-keyed result caches.
 
 The performance layer must be invisible: a memoized result is the exact
-``SolverResult`` a cold solve would produce, cache keys track testbed
-*content* (not object identity), and a parallel sweep reproduces the
-serial sweep point for point.
+``SolverResult`` a cold solve would produce, and cache keys track
+testbed *content* (not object identity).
 """
 
 import dataclasses
 
 import pytest
 
-from repro.core.harness import LatencyBench, Measurement, Sweep, ThroughputBench
+from repro.core.harness import Measurement, Sweep
 from repro.core.cache import ScenarioKey, clear_all
 from repro.core.paths import CommPath, Opcode
-from repro.core.sweeps import SweepRunner
+from repro.core.sweeps import StageTimings, SweepRunner
 from repro.core.throughput import (
     RESULT_CACHE,
     Flow,
@@ -21,20 +20,20 @@ from repro.core.throughput import (
     ThroughputSolver,
     configure_result_cache,
 )
-from repro.net.topology import Testbed, paper_testbed
+from repro.net.topology import paper_testbed
 from repro.nic.smartnic import SmartNIC
 from repro.nic.specs import BLUEFIELD2
-from repro.units import KB, MB
+from repro.units import MB
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
     """Each test starts cold, with the default cache configuration."""
     clear_all()
-    configure_result_cache(enabled=True, disk_dir=None)
+    configure_result_cache(enabled=True)
     yield
     clear_all()
-    configure_result_cache(enabled=True, disk_dir=None)
+    configure_result_cache(enabled=True)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +96,6 @@ def test_equal_content_gives_equal_key():
     key_a = ScenarioKey.of(paper_testbed(), [flow])
     key_b = ScenarioKey.of(paper_testbed(), [flow])
     assert key_a == key_b
-    assert key_a.digest == key_b.digest
 
 
 def test_mutated_spec_changes_key(testbed):
@@ -130,123 +128,34 @@ def test_mutated_spec_changes_result(testbed):
     assert other.rates != base.rates
 
 
-# ---------------------------------------------------------------------------
-# Disk cache
-# ---------------------------------------------------------------------------
-
-
-def test_disk_cache_roundtrip_bit_identical(testbed, tmp_path):
-    solver = ThroughputSolver()
-    flow = Flow(path=CommPath.SNIC2, op=Opcode.WRITE, payload=4 * KB,
-                requesters=11)
-    cold = solver.solve(Scenario(testbed, [flow]), use_cache=False)
-
-    configure_result_cache(enabled=True, disk_dir=str(tmp_path))
-    solver.solve(Scenario(testbed, [flow]))
-    assert list(tmp_path.glob("*.json")), "disk layer wrote nothing"
-
-    # Drop the in-memory layer: the next solve must come from disk.
-    RESULT_CACHE.clear()
-    from_disk = solver.solve(Scenario(testbed, [flow]))
-    assert RESULT_CACHE.disk_hits >= 1
-    assert_results_identical(cold, from_disk)
+def test_unbounded_flow_rejected(testbed):
+    # A flow whose demand vector is empty cannot be rate-bounded.
+    scenario = Scenario(testbed, [Flow(path=CommPath.SNIC1, op=Opcode.READ,
+                                       payload=64)])
+    scenario._demands = [{}]
+    with pytest.raises(ValueError, match="no demand"):
+        ThroughputSolver().solve(scenario, use_cache=False)
 
 
 # ---------------------------------------------------------------------------
-# Parallel == serial
+# SweepRunner
 # ---------------------------------------------------------------------------
 
-FIG4_PAYLOADS = [64, 256, 1024, 4 * KB, 16 * KB, 64 * KB]
-FIG8_PAYLOADS = [64 * KB, 256 * KB, 1 * MB, 2 * MB, 4 * MB, 8 * MB]
 
-
-def _serial_and_parallel(testbed):
-    # engine="scalar" pins these tests to the process-pool path: with
-    # numpy installed the auto engine would solve the batch in-process
-    # and never exercise the pool.
-    serial = SweepRunner(testbed, jobs=0, engine="scalar")
-    parallel = SweepRunner(testbed, jobs=2, chunk_size=2, engine="scalar")
-    assert not serial.parallel and parallel.parallel
-    return serial, parallel
-
-
-def test_parallel_throughput_sweep_matches_serial_fig4(testbed):
-    serial, parallel = _serial_and_parallel(testbed)
-    kwargs = dict(path=CommPath.SNIC1, op=Opcode.READ,
-                  payloads=FIG4_PAYLOADS, requesters=11)
-    want = ThroughputBench(testbed, serial).payload_sweep(**kwargs)
-    clear_all()
-    got = ThroughputBench(testbed, parallel).payload_sweep(**kwargs)
-    assert got.points == want.points
-
-
-def test_parallel_throughput_sweep_matches_serial_fig8(testbed):
-    serial, parallel = _serial_and_parallel(testbed)
-    kwargs = dict(path=CommPath.SNIC2, op=Opcode.READ,
-                  payloads=FIG8_PAYLOADS, requesters=11, metric="gbps")
-    want = ThroughputBench(testbed, serial).payload_sweep(**kwargs)
-    clear_all()
-    got = ThroughputBench(testbed, parallel).payload_sweep(**kwargs)
-    assert got.points == want.points
-
-
-def test_parallel_latency_sweep_matches_serial(testbed):
-    serial, parallel = _serial_and_parallel(testbed)
-    kwargs = dict(path=CommPath.SNIC1, op=Opcode.READ,
-                  payloads=FIG4_PAYLOADS)
-    want = LatencyBench(testbed, serial).payload_sweep(**kwargs)
-    clear_all()
-    got = LatencyBench(testbed, parallel).payload_sweep(**kwargs)
-    assert got.points == want.points
-
-
-def test_parallel_results_fold_back_into_parent_cache(testbed):
-    _, parallel = _serial_and_parallel(testbed)
-    flows = [Flow(path=CommPath.SNIC1, op=Opcode.READ, payload=p,
-                  requesters=11) for p in FIG4_PAYLOADS]
-    results = parallel.solve_flows(flows)
+def test_stage_timings_collected(testbed):
+    timings = StageTimings()
+    runner = SweepRunner(testbed, timings=timings)
+    flows = [Flow(path=CommPath.SNIC1, op=Opcode.READ, payload=p)
+             for p in (64, 256)]
+    results = runner.solve_flows(flows)
     for flow, result in zip(flows, results):
-        cached = RESULT_CACHE.get(Scenario(testbed, [flow]).key)
-        assert cached is not None
-        assert_results_identical(cached, result)
-
-
-def test_parallel_sweep_absorbs_worker_cache_counters(testbed):
-    # Worker processes do the solving, so their cache misses would be
-    # invisible to the parent unless folded back.
-    _, parallel = _serial_and_parallel(testbed)
-    flows = [Flow(path=CommPath.SNIC2, op=Opcode.WRITE, payload=p,
-                  requesters=11) for p in FIG4_PAYLOADS]
-    before = RESULT_CACHE.misses
-    parallel.solve_flows(flows)
-    assert RESULT_CACHE.misses - before >= len(flows)
-
-
-def test_lru_absorb_adds_foreign_counters():
-    from repro.core.cache import LRUCache, SolverCache
-
-    cache = LRUCache(name="absorb-test", register=False)
-    cache.absorb(hits=3, misses=2, disk_hits=7)   # disk_hits ignored
-    assert (cache.hits, cache.misses) == (3, 2)
-
-    solver_cache = SolverCache(name="absorb-disk-test", register=False)
-    solver_cache.absorb(hits=1, misses=1, disk_hits=4)
-    assert solver_cache.disk_hits == 4
-
-
-def test_small_batch_stays_serial(testbed):
-    # Fewer points than 2*jobs: not worth a pool; must still be exact.
-    parallel = SweepRunner(testbed, jobs=4)
-    flows = [Flow(path=CommPath.RNIC1, op=Opcode.READ, payload=64)]
-    (result,) = parallel.solve_flows(flows)
-    cold = ThroughputSolver().solve(Scenario(testbed, flows),
-                                    use_cache=False)
-    assert_results_identical(cold, result)
-
-
-def test_negative_jobs_rejected(testbed):
-    with pytest.raises(ValueError):
-        SweepRunner(testbed, jobs=-1)
+        cold = ThroughputSolver().solve(Scenario(testbed, [flow]),
+                                        use_cache=False)
+        assert_results_identical(cold, result)
+    assert timings.seconds["solve"] > 0
+    assert timings.calls["solve"] == 1
+    report = timings.report()
+    assert "solve" in report and "total" in report
 
 
 # ---------------------------------------------------------------------------

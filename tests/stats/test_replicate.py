@@ -5,6 +5,7 @@ cache must make a re-replication free, and the estimates must read the
 window archive the serving layer now exports.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -57,11 +58,13 @@ def test_pool_matches_serial(adaptive_rep):
     pooled = replicate("adaptive", seeds=(0, 1, 2),
                        duration_ns=DURATION_NS, jobs=2, use_cache=False)
     for serial, parallel in zip(adaptive_rep.reports, pooled.reports):
+        assert list(parallel.tenants) == list(serial.tenants)
         for name in serial.tenants:
-            a, b = serial.tenants[name], parallel.tenants[name]
-            assert (a.completed, a.rejected, a.lost) == \
-                (b.completed, b.rejected, b.lost)
-            assert a.p99_ns == b.p99_ns
+            assert (dataclasses.asdict(parallel.tenants[name])
+                    == dataclasses.asdict(serial.tenants[name])), name
+        assert parallel.windows == serial.windows
+        assert parallel.conservation == serial.conservation
+        assert parallel.counters == serial.counters
 
 
 def test_estimates_cover_every_metric(adaptive_rep):

@@ -70,9 +70,11 @@ def test_sweep_commands(capsys, figure):
 
 @pytest.mark.parametrize("engine", ["scalar", "auto"])
 def test_sweep_engine_flag(capsys, engine):
-    code, out, _ = run(capsys, "sweep", "fig4", "--engine", engine)
-    assert code == 0
-    assert "Fig" in out
+    """``--engine`` picks a serving engine; sweeps have one solver."""
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "sweep", "fig4", "--engine", engine)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
 
 def test_sweep_profile_flag(capsys):

@@ -16,6 +16,8 @@ import pytest
 
 import repro
 import repro.api
+from repro.cli import main
+from repro.core.options import RunOptions
 from repro.core.sweeps import SweepRunner
 from repro.net.topology import paper_testbed
 from repro.sched.serve import ServeReport
@@ -77,6 +79,22 @@ def test_bench_module_is_removed():
     """``repro.core.bench`` is gone; ``repro.core.harness`` replaces it."""
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.core.bench")
+
+
+@pytest.mark.parametrize("flag", [["--engine", "scalar"], ["--jobs", "2"],
+                                  ["--disk-cache", "d"], ["--machines", "3"]])
+def test_solver_speed_machinery_is_removed(flag):
+    """One scalar solver: no numpy engine, no sweep pool, no disk cache,
+    and ``engine`` names a serving engine only."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.batch")
+    with pytest.raises(ValueError, match="unknown engine"):
+        RunOptions(engine="vector")
+    with pytest.raises(TypeError):
+        SweepRunner(paper_testbed(), jobs=2)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "fig4", *flag])
+    assert exc.value.code == 2
 
 
 def test_removed_aliases_stay_removed():
