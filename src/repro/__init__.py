@@ -19,15 +19,50 @@ Typical entry points::
 surface — see docs/api.md.
 """
 
-from repro.api import RunOptions, Session
-from repro.core.paths import CommPath, Opcode
-from repro.core.throughput import Flow, Scenario, SolverResult, ThroughputSolver
-from repro.core.latency import LatencyModel
-from repro.core.packets import PacketCountModel
-from repro.core.flows import ConcurrencyAnalyzer
-from repro.core.advisor import Advisor, WorkloadProfile
-from repro.core.anomalies import detect_all
-from repro.net.topology import Testbed, paper_testbed
+from importlib import import_module as _import_module
+
+
+def _lazy_exports(namespace, exports):
+    """PEP 562 hooks for the package whose globals are ``namespace``.
+
+    ``exports`` maps a module (relative to the package when it starts
+    with a dot) to the space-separated names it provides.  The first
+    access to any of them imports that module and caches all of its
+    names in the package namespace, so later lookups are plain
+    attribute reads.  That also rebinds a name the import just shadowed
+    with its submodule (``replicate`` in :mod:`repro.stats`).  Returns
+    the package's ``__getattr__`` and ``__dir__``.
+    """
+    package = namespace["__name__"]
+    origin = {name: module for module, names in exports.items()
+              for name in names.split()}
+
+    def __getattr__(name):
+        if name not in origin:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        module = _import_module(origin[name], package)
+        for export in exports[origin[name]].split():
+            namespace[export] = getattr(module, export)
+        return namespace[name]
+
+    def __dir__():
+        return sorted(set(namespace) | set(origin))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "repro.api": "RunOptions Session",
+    "repro.core.paths": "CommPath Opcode",
+    "repro.core.throughput": "Flow Scenario SolverResult ThroughputSolver",
+    "repro.core.latency": "LatencyModel",
+    "repro.core.packets": "PacketCountModel",
+    "repro.core.flows": "ConcurrencyAnalyzer",
+    "repro.core.advisor": "Advisor WorkloadProfile",
+    "repro.core.anomalies": "detect_all",
+    "repro.net.topology": "Testbed paper_testbed",
+})
 
 __version__ = "1.0.0"
 

@@ -24,9 +24,13 @@ Usage::
     report = session.serve(mixed_tenant_workload())
 """
 
-from repro.api.schema import ClusterScenario, MachineDoc, SchedulerDoc, TenantDoc
-from repro.api.session import Session
-from repro.core.options import RunOptions
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".schema": "ClusterScenario MachineDoc SchedulerDoc TenantDoc",
+    ".session": "Session",
+    "repro.core.options": "RunOptions",
+})
 
 __all__ = ["ClusterScenario", "MachineDoc", "RunOptions", "SchedulerDoc",
            "Session", "TenantDoc"]

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.cluster.machine import MachineSpec
+from repro.core.options import ENGINES
 from repro.faults.plan import FaultPlan
-from repro.sched.serve import ENGINES
 from repro.sched.tenant import SloSpec, TenantSpec
 from repro.units import GB
 from repro.workloads import OpMix

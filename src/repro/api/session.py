@@ -106,7 +106,7 @@ class Session:
                     payload=payload, requesters=requesters,
                     range_bytes=range_bytes, doorbell_batch=doorbell_batch)
         return self.throughput_bench.solver.solve(
-            Scenario(self.testbed, [flow]))
+            Scenario(self.testbed, [flow]), self.options.cache)
 
     # -- sweeps -------------------------------------------------------------
 

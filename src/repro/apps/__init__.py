@@ -13,17 +13,15 @@
   budgeted path-③ shipping, SoC-to-SoC relay, offloaded replica reads.
 """
 
-from repro.apps.kvstore import KVServer, OneSidedKVClient, OffloadedKVClient
-from repro.apps.rpc import RpcServer, RpcClient
-from repro.apps.offload import OffloadEngine, OffloadConfig, OffloadStats
-from repro.apps.logship import (
-    LogShipper,
-    ShipStats,
-    TokenBucket,
-    WriterStats,
-    client_writer,
-)
-from repro.apps.replicated_kv import ReplicatedKV, ReplicationStats
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".kvstore": "KVServer OneSidedKVClient OffloadedKVClient",
+    ".rpc": "RpcServer RpcClient",
+    ".offload": "OffloadEngine OffloadConfig OffloadStats",
+    ".logship": "LogShipper ShipStats TokenBucket WriterStats client_writer",
+    ".replicated_kv": "ReplicatedKV ReplicationStats",
+})
 
 __all__ = [
     "KVServer",

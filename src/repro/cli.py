@@ -42,28 +42,13 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.core.advisor import Advisor, WorkloadProfile
-from repro.core.anomalies import detect_all
-from repro.core.harness import LatencyBench, ThroughputBench
-from repro.core.latency import LatencyModel
-from repro.core.options import RunOptions
+# Only what the parser itself needs is imported here; each command
+# imports its own dependencies, so a run compiles only what it executes.
+from repro.core.options import ENGINES, RunOptions
 from repro.core.paths import CommPath, Opcode
-from repro.core.plot import plot_sweeps
 from repro.core.report import format_table
-from repro.core.throughput import Flow, Scenario, ThroughputSolver
-from repro.net.topology import paper_testbed
 from repro.nic.catalog import CATALOG, lookup
-from repro.nic.smartnic import SmartNIC
-from repro.sched.serve import ENGINES
 from repro.units import GB, fmt_size
-from repro.workloads import (
-    FIG4_PAYLOADS,
-    FIG7_RANGES,
-    FIG8_PAYLOADS,
-    FIG9_PAYLOADS,
-    FIG10_BATCHES,
-    FIG11_MACHINES,
-)
 
 _PATHS = {p.value: p for p in CommPath}
 _PATHS.update({p.name.lower(): p for p in CommPath})
@@ -339,6 +324,9 @@ def _cmd_paths(args) -> str:
 
 
 def _cmd_latency(args) -> str:
+    from repro.core.latency import LatencyModel
+    from repro.net.topology import paper_testbed
+
     model = LatencyModel(paper_testbed())
     breakdown = model.latency(args.path, args.op, args.payload)
     rows = [[name, f"{value:.0f}"] for name, value in breakdown.segments]
@@ -350,6 +338,9 @@ def _cmd_latency(args) -> str:
 
 
 def _cmd_throughput(args) -> str:
+    from repro.core.throughput import Flow, Scenario, ThroughputSolver
+    from repro.net.topology import paper_testbed
+
     flow = Flow(path=args.path, op=args.op, payload=args.payload,
                 requesters=args.requesters, range_bytes=args.range_bytes,
                 doorbell_batch=args.doorbell_batch)
@@ -365,7 +356,11 @@ def _cmd_throughput(args) -> str:
 def _cmd_compare(args) -> str:
     from dataclasses import replace as _replace
 
+    from repro.core.latency import LatencyModel
+    from repro.core.throughput import Flow, Scenario, ThroughputSolver
+    from repro.net.topology import paper_testbed
     from repro.nic.rnic import RNIC
+    from repro.nic.smartnic import SmartNIC
     from repro.nic.specs import RNICSpec
 
     spec = lookup(args.nic)
@@ -395,6 +390,9 @@ def _cmd_compare(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
+    from repro.core.harness import ThroughputBench
+    from repro.net.topology import paper_testbed
+
     options = RunOptions.from_args(args)
     testbed = paper_testbed()
     runner = options.runner(testbed)
@@ -409,6 +407,11 @@ def _cmd_sweep(args) -> str:
 
 
 def _run_sweep(args, testbed, tp, runner) -> str:
+    from repro.core.harness import LatencyBench
+    from repro.workloads.payloads import (FIG4_PAYLOADS, FIG7_RANGES,
+                                          FIG8_PAYLOADS, FIG9_PAYLOADS,
+                                          FIG10_BATCHES, FIG11_MACHINES)
+
     if getattr(args, "plot", False):
         return _cmd_sweep_plot(args, testbed, tp)
     if args.figure == "fig4":
@@ -443,6 +446,11 @@ def _run_sweep(args, testbed, tp, runner) -> str:
 
 
 def _cmd_sweep_plot(args, testbed, tp) -> str:
+    from repro.core.plot import plot_sweeps
+    from repro.workloads.payloads import (FIG4_PAYLOADS, FIG7_RANGES,
+                                          FIG8_PAYLOADS, FIG9_PAYLOADS,
+                                          FIG10_BATCHES, FIG11_MACHINES)
+
     if args.figure == "fig4":
         sweeps = {p.label: tp.payload_sweep(p, Opcode.READ, FIG4_PAYLOADS)
                   for p in (CommPath.RNIC1, CommPath.SNIC1, CommPath.SNIC2)}
@@ -488,6 +496,9 @@ def _cmd_sweep_plot(args, testbed, tp) -> str:
 
 
 def _cmd_advise(args) -> str:
+    from repro.core.advisor import Advisor, WorkloadProfile
+    from repro.net.topology import paper_testbed
+
     profile = WorkloadProfile(
         payload=args.payload,
         read_fraction=args.read_fraction,
@@ -515,6 +526,10 @@ def _cmd_advise(args) -> str:
 
 
 def _cmd_audit(args) -> str:
+    from repro.core.anomalies import detect_all
+    from repro.core.throughput import Flow
+    from repro.net.topology import paper_testbed
+
     if args.flows_json == "-":
         raw = json.load(sys.stdin)
     else:
@@ -541,12 +556,20 @@ def _cmd_audit(args) -> str:
                         title=f"{len(report)} anomalies")
 
 
+def _fault_plan(path: Optional[str]):
+    """The JSON fault plan at ``path``, or None when there is none."""
+    if path is None:
+        return None
+    from repro.faults.plan import FaultPlan
+
+    return FaultPlan.from_file(path)
+
+
 def _cmd_faults(args) -> str:
-    from repro.faults import FaultPlan
     from repro.faults.bench import faulted_sweep, run_fault_bench
 
     if args.fault_plan is not None:
-        plan = FaultPlan.from_file(args.fault_plan)
+        plan = _fault_plan(args.fault_plan)
         rows = [run_fault_bench(ops=args.ops, payload=args.payload,
                                 op=args.op, plan=plan,
                                 fault_seed=args.fault_seed)]
@@ -632,6 +655,8 @@ def _cmd_trace_gen(args) -> str:
 
 
 def _cmd_trace_solve(args) -> str:
+    from repro.core.throughput import Scenario, ThroughputSolver
+    from repro.net.topology import paper_testbed
     from repro.workloads.traces import Trace
 
     with open(args.trace) as handle:
@@ -707,7 +732,6 @@ def _cmd_serve_cluster(args) -> str:
 
 
 def _cmd_serve(args) -> str:
-    from repro.faults import FaultPlan
     from repro.sched import mixed_tenant_workload, run_serve
     from repro.units import fmt_ns
 
@@ -719,8 +743,7 @@ def _cmd_serve(args) -> str:
                 f"--{flag.replace('_', '-')} needs --cluster")
     if args.no_migrate or args.check:
         raise ValueError("--no-migrate/--check need --cluster")
-    plan = (FaultPlan.from_file(args.fault_plan)
-            if args.fault_plan is not None else None)
+    plan = _fault_plan(args.fault_plan)
     tenants = mixed_tenant_workload(duration_ns=args.duration,
                                     seed=args.seed)
     if args.shards > 1:
@@ -744,8 +767,7 @@ def _cmd_serve(args) -> str:
             shards.append(replace(shard, faults=faults,
                                   fault_seed=args.fault_seed,
                                   exports=exports))
-        cluster_faults = (FaultPlan.from_file(args.cluster_fault_plan)
-                          if args.cluster_fault_plan is not None else None)
+        cluster_faults = _fault_plan(args.cluster_fault_plan)
         supervisor = None
         if (args.checkpoint_dir or args.resume or args.kill_shard
                 or args.incident_report):

@@ -12,11 +12,14 @@
   :class:`~repro.api.schema.ClusterScenario` and run it end to end.
 """
 
-from repro.cluster.machine import MachineSpec
-from repro.cluster.run import ClusterReport, compile_scenario, run_cluster
-from repro.cluster.scheduler import (ClusterDecision, ClusterScheduler,
-                                     bin_pack_placement,
-                                     round_robin_placement)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".machine": "MachineSpec",
+    ".run": "ClusterReport compile_scenario run_cluster",
+    ".scheduler": "ClusterDecision ClusterScheduler bin_pack_placement"
+                  " round_robin_placement",
+})
 
 __all__ = [
     "ClusterDecision",

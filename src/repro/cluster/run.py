@@ -26,7 +26,6 @@ from repro.cluster.scheduler import (ClusterDecision, ClusterScheduler,
                                      bin_pack_placement,
                                      round_robin_placement)
 from repro.core.report import format_table
-from repro.faults.cluster import ClusterInjector
 from repro.net.topology import paper_testbed
 from repro.sched.serve import ServeReport
 from repro.sched.tenant import TenantSpec
@@ -240,6 +239,8 @@ def run_cluster(scenario, jobs: Optional[int] = None,
             # The controller's own oracle instance: machine_down and
             # machines_lost are pure functions of the plan, so sharing
             # state with run_sharded's injector is unnecessary.
+            from repro.faults.cluster import ClusterInjector
+
             injector = ClusterInjector(plan.cluster_faults,
                                        [s.name for s in plan.shards],
                                        topology)

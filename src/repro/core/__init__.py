@@ -15,37 +15,25 @@ Public surface:
 * :mod:`repro.core.options` — the shared :class:`RunOptions` knobs.
 """
 
-from repro.core.paths import CommPath, Opcode, PathEnds
-from repro.core.packets import PacketCountModel, PathPacketCounts
-from repro.core.throughput import (
-    Flow,
-    Scenario,
-    SolverResult,
-    ThroughputSolver,
-)
-from repro.core.options import RunOptions
-from repro.core.sweeps import StageTimings, SweepRunner
-from repro.core.latency import LatencyModel, LatencyBreakdown
-from repro.core.flows import FlowPattern, ConcurrencyAnalyzer
-from repro.core.anomalies import (
-    Anomaly,
-    AnomalyReport,
-    detect_all,
-    detect_skew_vulnerability,
-    detect_hol_collapse,
-    detect_pcie_underutilization,
-    detect_doorbell_regression,
-)
-from repro.core.advisor import Advisor, Advice, OffloadPlan, WorkloadProfile
-from repro.core.harness import Measurement, Sweep, LatencyBench, ThroughputBench
-from repro.core.whatif import (
-    CxlPath3Model,
-    bluefield3_testbed,
-    speed_ratios,
-    with_cci_soc,
-)
-from repro.core.loaded import LoadedLatencyModel, LoadedPoint
-from repro.core.plot import ascii_plot, plot_sweeps
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".paths": "CommPath Opcode PathEnds",
+    ".packets": "PacketCountModel PathPacketCounts",
+    ".throughput": "Flow Scenario SolverResult ThroughputSolver",
+    ".options": "RunOptions",
+    ".sweeps": "StageTimings SweepRunner",
+    ".latency": "LatencyModel LatencyBreakdown",
+    ".flows": "FlowPattern ConcurrencyAnalyzer",
+    ".anomalies": "Anomaly AnomalyReport detect_all detect_skew_vulnerability"
+                  " detect_hol_collapse detect_pcie_underutilization"
+                  " detect_doorbell_regression",
+    ".advisor": "Advisor Advice OffloadPlan WorkloadProfile",
+    ".harness": "Measurement Sweep LatencyBench ThroughputBench",
+    ".whatif": "CxlPath3Model bluefield3_testbed speed_ratios with_cci_soc",
+    ".loaded": "LoadedLatencyModel LoadedPoint",
+    ".plot": "ascii_plot plot_sweeps",
+})
 
 __all__ = [
     "CommPath",

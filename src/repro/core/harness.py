@@ -152,9 +152,9 @@ class LatencyBench:
 class ThroughputBench:
     """Solver-based peak-throughput sweeps.
 
-    All sweeps evaluate their points through a :class:`SweepRunner` —
-    serial (and content-cached) by default, or fanned out over a
-    process pool when the runner was built with ``jobs > 1``.
+    All sweeps evaluate their points through a :class:`SweepRunner`,
+    in order and content-cached unless the runner was built with
+    ``use_cache=False``.
     """
 
     def __init__(self, testbed: Testbed, runner: Optional[SweepRunner] = None,
@@ -165,7 +165,8 @@ class ThroughputBench:
         self.packets = PacketCountModel(testbed.snic.spec)
 
     def _peak(self, flow: Flow) -> SolverResult:
-        return self.solver.solve(Scenario(self.testbed, [flow]))
+        return self.solver.solve(Scenario(self.testbed, [flow]),
+                                 self.runner.use_cache)
 
     def _peaks(self, flows: Sequence[Flow]) -> List[SolverResult]:
         return self.runner.solve_flows(flows)

@@ -15,19 +15,24 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.sweeps import StageTimings, SweepRunner
-from repro.net.topology import Testbed
+if TYPE_CHECKING:
+    from repro.core.sweeps import StageTimings, SweepRunner
+    from repro.net.topology import Testbed
+
+#: Serving engine names, shared by :class:`RunOptions`, ``ServeSession``,
+#: the CLI and the cluster-scenario schema.
+ENGINES = ("event", "hybrid")
 
 
 @dataclass(frozen=True)
 class RunOptions:
     """Normalized evaluation options for model sweeps and serving runs.
 
-    * ``engine`` — serving engine, one of
-      :data:`repro.sched.serve.ENGINES`: ``"event"`` (pure DES) or
-      ``"hybrid"``, which switches :meth:`repro.api.Session.serve` and
+    * ``engine`` — serving engine, one of :data:`ENGINES`: ``"event"``
+      (pure DES) or ``"hybrid"``, which switches
+      :meth:`repro.api.Session.serve` and
       :meth:`~repro.api.Session.serve_cluster` to the analytic/DES
       hybrid engine (see docs/performance.md).  Solver sweeps ignore
       it: they have one backend.
@@ -49,9 +54,6 @@ class RunOptions:
     population_seed: Optional[int] = None
 
     def __post_init__(self):
-        # Imported here: repro.sched.serve sits above repro.core.
-        from repro.sched.serve import ENGINES
-
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine: {self.engine!r} "
                              f"(expected one of {ENGINES})")
@@ -66,21 +68,16 @@ class RunOptions:
                timings: Optional[StageTimings] = None) -> SweepRunner:
         """A :class:`SweepRunner` configured from these options.
 
-        Also applies the cache configuration, so building a runner is
-        enough to honour ``cache``.  When ``profile`` is set (and no
+        The runner honours ``cache`` in its own solves and changes no
+        process-wide setting.  When ``profile`` is set (and no
         ``timings`` is passed) the runner gets a fresh
         :class:`StageTimings`; read it back from ``runner.timings``.
         """
-        self.apply_caches()
+        from repro.core.sweeps import StageTimings, SweepRunner
+
         if timings is None and self.profile:
             timings = StageTimings()
-        return SweepRunner(testbed, timings=timings)
-
-    def apply_caches(self) -> None:
-        """Configure the process-wide solver result caches."""
-        from repro.core.throughput import configure_result_cache
-
-        configure_result_cache(enabled=self.cache)
+        return SweepRunner(testbed, timings=timings, use_cache=self.cache)
 
     # -- argparse bridge -----------------------------------------------------
 

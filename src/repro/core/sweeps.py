@@ -82,13 +82,16 @@ class SweepRunner:
     Results come from :class:`~repro.core.throughput.ThroughputSolver`
     and :class:`~repro.core.latency.LatencyModel` through their result
     caches; ``timings`` (a :class:`StageTimings`) records where the
-    wall time went.
+    wall time went.  ``use_cache=False`` makes this runner's solves
+    cold without touching the process-wide cache switch.
     """
 
     def __init__(self, testbed: Testbed,
-                 timings: Optional[StageTimings] = None):
+                 timings: Optional[StageTimings] = None,
+                 use_cache: bool = True):
         self.testbed = testbed
         self.timings = timings
+        self.use_cache = use_cache
         self.solver = ThroughputSolver()
         self._latency_model = LatencyModel(testbed)
 
@@ -102,7 +105,7 @@ class SweepRunner:
         """One single-flow scenario per entry, in order."""
         testbed, solver = self.testbed, self.solver
         with self.stage("solve"):
-            return [solver.solve(Scenario(testbed, [flow]))
+            return [solver.solve(Scenario(testbed, [flow]), self.use_cache)
                     for flow in flows]
 
     def latencies(self, points: Sequence[LatencyPoint]

@@ -16,12 +16,15 @@ See ``docs/robustness.md`` for the fault model and the RC reliability
 protocol that absorbs these faults.
 """
 
-from repro.faults.cluster import ClusterInjector
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import (Fault, FaultPlan, FabricDelay, FabricLoss,
-                               FabricPartition, FabricReorder, LinkDown,
-                               LinkFlap, MachineCrash, NodeStall, PacketLoss,
-                               SocCrash, is_cluster_fault)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".cluster": "ClusterInjector",
+    ".injector": "FaultInjector",
+    ".plan": "Fault FaultPlan FabricDelay FabricLoss FabricPartition"
+             " FabricReorder LinkDown LinkFlap MachineCrash NodeStall"
+             " PacketLoss SocCrash is_cluster_fault",
+})
 
 __all__ = [
     "Fault",

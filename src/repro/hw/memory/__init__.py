@@ -6,12 +6,16 @@ in the LLC regardless of how narrow the address range is, while the SoC
 parallelism collapses when the accessed range is small.
 """
 
-from repro.hw.memory.address import AddressRegion, UniformAddresses
-from repro.hw.memory.dram import DRAMConfig, DRAMModel
-from repro.hw.memory.cache import LLCConfig
-from repro.hw.memory.subsystem import MemorySubsystem
-from repro.hw.memory.cachesim import CacheStats, SetAssociativeCache
-from repro.hw.memory.dramsim import DramBankSim, DramTimingParams
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".address": "AddressRegion UniformAddresses",
+    ".dram": "DRAMConfig DRAMModel",
+    ".cache": "LLCConfig",
+    ".subsystem": "MemorySubsystem",
+    ".cachesim": "CacheStats SetAssociativeCache",
+    ".dramsim": "DramBankSim DramTimingParams",
+})
 
 __all__ = [
     "AddressRegion",

@@ -13,23 +13,18 @@ The key facts the paper's analysis rests on, all modelled here:
 * Every switch hop adds 150-200 ns one way (§3.1).
 """
 
-from repro.hw.pcie.tlp import (
-    TLP_HEADER_BYTES,
-    TLP_READ_REQUEST_BYTES,
-    TlpKind,
-    Tlp,
-    negotiate_mps,
-    segment_count,
-    segment_sizes,
-    wire_bytes,
-    read_wire_cost,
-    write_wire_cost,
-)
-from repro.hw.pcie.config import PCIeGen, PCIeLinkSpec, PCIE_GEN3, PCIE_GEN4, PCIE_GEN5
-from repro.hw.pcie.link import PCIeLink
-from repro.hw.pcie.switch import PCIeSwitch, SwitchPort
-from repro.hw.pcie.mmio import MMIOModel
-from repro.hw.pcie.dma import DmaEngine
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".tlp": "TLP_HEADER_BYTES TLP_READ_REQUEST_BYTES TlpKind Tlp"
+            " negotiate_mps segment_count segment_sizes wire_bytes"
+            " read_wire_cost write_wire_cost",
+    ".config": "PCIeGen PCIeLinkSpec PCIE_GEN3 PCIE_GEN4 PCIE_GEN5",
+    ".link": "PCIeLink",
+    ".switch": "PCIeSwitch SwitchPort",
+    ".mmio": "MMIOModel",
+    ".dma": "DmaEngine",
+})
 
 __all__ = [
     "TLP_HEADER_BYTES",

@@ -18,14 +18,17 @@ Quick tour::
     completion = qp.send_cq.poll()[0]
 """
 
-from repro.rdma.opcodes import WorkOpcode, CompletionStatus
-from repro.rdma.mr import (MemoryRegion, ProtectionDomain, AccessError,
-                           SimMemoryExhausted)
-from repro.rdma.cq import CompletionQueue, Completion
-from repro.rdma.qp import QueuePair, QPType, QPState, QPError
-from repro.rdma.srq import SharedReceiveQueue
-from repro.rdma.doorbell import DoorbellBatcher
-from repro.rdma.verbs import RdmaContext
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".opcodes": "WorkOpcode CompletionStatus",
+    ".mr": "MemoryRegion ProtectionDomain AccessError SimMemoryExhausted",
+    ".cq": "CompletionQueue Completion",
+    ".qp": "QueuePair QPType QPState QPError",
+    ".srq": "SharedReceiveQueue",
+    ".doorbell": "DoorbellBatcher",
+    ".verbs": "RdmaContext",
+})
 
 __all__ = [
     "WorkOpcode",

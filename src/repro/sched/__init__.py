@@ -22,17 +22,16 @@ would have to:
   ``benchmarks/bench_scheduler.py`` and ``Session.serve``.
 """
 
-from repro.sched.tenant import CompletionRecord, SloSpec, TenantSpec
-from repro.sched.slo import SloTracker, WindowStats
-from repro.sched.policy import Decision, PathPolicy
-from repro.sched.runtime import PathLease, ServingRuntime
-from repro.sched.scheduler import PathScheduler
-from repro.sched.serve import (
-    ServeReport,
-    TenantReport,
-    mixed_tenant_workload,
-    run_serve,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".tenant": "CompletionRecord SloSpec TenantSpec",
+    ".slo": "SloTracker WindowStats",
+    ".policy": "Decision PathPolicy",
+    ".runtime": "PathLease ServingRuntime",
+    ".scheduler": "PathScheduler",
+    ".serve": "ServeReport TenantReport mixed_tenant_workload run_serve",
+})
 
 __all__ = [
     "CompletionRecord",

@@ -20,12 +20,14 @@ the same plan produce bit-identical decision logs — asserted by
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.sched.policy import Decision, PathPolicy, Placement
 from repro.sched.runtime import ServingRuntime
 from repro.sched.slo import SloTracker
-from repro.trace.tracer import Tracer
+
+if TYPE_CHECKING:   # only runs with trace=True pass a tracer
+    from repro.trace.tracer import Tracer
 
 
 class PathScheduler:

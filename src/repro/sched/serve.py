@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.options import ENGINES
 from repro.core.paths import CommPath
 from repro.core.report import format_table
-from repro.faults.plan import FaultPlan
 from repro.net.cluster import SimCluster
 from repro.net.topology import Testbed, paper_testbed
 from repro.rdma.verbs import RdmaContext
@@ -33,17 +33,16 @@ from repro.sched.policy import Decision, PathPolicy, Placement, _RESPONDER
 from repro.sched.runtime import ServingRuntime
 from repro.sched.scheduler import PathScheduler
 from repro.sched.slo import RawWindow, SloTracker
-from repro.stats.kernels import Estimate, batch_means
 from repro.sched.tenant import SloSpec, TenantSpec
 from repro.sim import engine as des_engine
 from repro.telemetry import Telemetry
-from repro.trace.tracer import Tracer
 from repro.units import GB, KB, MB, fmt_ns, to_gbps
 from repro.workloads import OpMix
 
-#: Serving engine names, shared by ``ServeSession``, the CLI and the
-#: cluster-scenario schema.
-ENGINES = ("event", "hybrid")
+if TYPE_CHECKING:   # imported where used; a plain serving run needs none
+    from repro.faults.plan import FaultPlan
+    from repro.stats.kernels import Estimate
+    from repro.trace.tracer import Tracer
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,8 @@ class ServeReport:
 
     def p99(self, tenant: str, confidence: float = 0.95) -> Estimate:
         """Batch-means estimate of the tenant's per-window p99 (ns)."""
+        from repro.stats.kernels import Estimate, batch_means
+
         series = [w.p99_ns for w in self.windows.get(tenant, ())
                   if w.count > 0]
         if not series:
@@ -97,6 +98,8 @@ class ServeReport:
 
     def worst_p99(self, confidence: float = 0.95) -> Estimate:
         """The worst tenant's p99 as a mean ± CI over warm windows."""
+        from repro.stats.kernels import Estimate
+
         if not self.tenants:
             return Estimate(mean=0.0, half_width=0.0, n=0,
                             confidence=confidence)
@@ -233,6 +236,8 @@ class ServeSession:
         # sees soc_available=False and terminates everything host-ward.
         self.cluster = SimCluster(testbed, sim=sim, n_clients=n_clients,
                                   nic=nic)
+        if trace:
+            from repro.trace.tracer import Tracer
         self.tracer = Tracer().install(self.cluster) if trace else None
         self.telemetry = Telemetry(self.cluster)
         if faults is not None and not faults.empty:

@@ -20,14 +20,18 @@ Example
 [(10.0, 'a'), (10.0, 'b')]
 """
 
-from repro.sim.engine import Simulator
-from repro.sim.errors import SimulationError, Interrupt
-from repro.sim.events import Event, Timeout, AllOf, AnyOf, URGENT, NORMAL, LOW
-from repro.sim.process import Process
-from repro.sim.resources import Resource, Store
-from repro.sim.links import SimplexChannel, DuplexChannel, LOST
-from repro.sim.monitor import Counter, RateMeter, Histogram, TimeWeighted
-from repro.sim.rng import RandomStreams
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".engine": "Simulator",
+    ".errors": "SimulationError Interrupt",
+    ".events": "Event Timeout AllOf AnyOf URGENT NORMAL LOW",
+    ".process": "Process",
+    ".resources": "Resource Store",
+    ".links": "SimplexChannel DuplexChannel LOST",
+    ".monitor": "Counter RateMeter Histogram TimeWeighted",
+    ".rng": "RandomStreams",
+})
 
 __all__ = [
     "Simulator",

@@ -60,10 +60,8 @@ import multiprocessing
 import traceback
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.faults.cluster import ClusterInjector
-from repro.faults.plan import FaultPlan
 from repro.sched.serve import ServeReport, ServeSession
 from repro.sched.slo import SloTracker
 from repro.sched.tenant import TenantSpec
@@ -73,6 +71,10 @@ from repro.sim.supervise import (ConservationWatchdog, FabricWedgedError,
                                  plan_fingerprint)
 from repro.sim.xshard import (CrossTraffic, ShardChannel, ShardRouter,
                               ShardTopology)
+
+if TYPE_CHECKING:   # imported where used: only chaotic plans need them
+    from repro.faults.cluster import ClusterInjector
+    from repro.faults.plan import FaultPlan
 
 
 @dataclass(frozen=True)
@@ -172,6 +174,7 @@ class ShardPlan:
         if self.cluster_faults is not None:
             # Validates fault scope and shard names; the instance used
             # at run time is built by run_sharded with the topology.
+            from repro.faults.cluster import ClusterInjector
             ClusterInjector(self.cluster_faults, shard_names)
 
     @property
@@ -219,6 +222,8 @@ def _lowered(shard: ShardSpec, injector: ClusterInjector) -> ShardSpec:
     extra = injector.local_faults(shard.name)
     if not extra:
         return shard
+    from repro.faults.plan import FaultPlan
+
     base = shard.faults if shard.faults is not None else FaultPlan()
     return replace(shard, faults=base.with_faults(*extra))
 
@@ -682,6 +687,8 @@ def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
     topology = plan.resolved_topology()
     injector = None
     if plan.chaotic:
+        from repro.faults.cluster import ClusterInjector
+
         injector = ClusterInjector(plan.cluster_faults,
                                    [s.name for s in plan.shards], topology)
     if controller is not None and topology is None:
@@ -733,6 +740,10 @@ def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
     if jobs is None or jobs == 0:
         jobs = len(shards)
     in_process = jobs <= 1 or len(shards) == 1
+    if not in_process and serve_kwargs.get("engine") == "hybrid":
+        # Forked workers share the parent's imported modules: load the
+        # controller ServeSession imports lazily once, not per worker.
+        import repro.sim.hybrid  # noqa: F401
     endpoints: List = []
     try:
         for shard in shards:

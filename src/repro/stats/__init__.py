@@ -12,22 +12,21 @@ kernels without dragging in the serving stack:
   conservation, Little's law, utilization ≤ capacity, report sanity.
 * :mod:`repro.stats.replicate` / :mod:`repro.stats.validate` —
   cross-seed replication (pooled + cached) and the ``repro validate``
-  verification report.  Imported lazily (PEP 562) because they reach
-  into :mod:`repro.sched` and :mod:`repro.sim`, which themselves use
-  the kernels.
+  verification report.  They reach into :mod:`repro.sched` and
+  :mod:`repro.sim`, which themselves use the kernels; like every
+  package export they are imported on first access (PEP 562).
 """
 
-from repro.stats.invariants import InvariantResult, check_report, violations
-from repro.stats.kernels import (
-    Estimate,
-    agreement,
-    batch_means,
-    mean_estimate,
-    quantile,
-    student_t_cdf,
-    student_t_ppf,
-)
-from repro.stats.warmup import WarmupResult, apply_warmup, mser_truncation
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".invariants": "InvariantResult check_report violations",
+    ".kernels": "Estimate agreement batch_means mean_estimate quantile"
+                " student_t_cdf student_t_ppf",
+    ".warmup": "WarmupResult apply_warmup mser_truncation",
+    ".replicate": "Replication replicate report_estimate",
+    ".validate": "ValidationRow VerificationReport run_validation",
+})
 
 __all__ = [
     "Estimate",
@@ -50,22 +49,3 @@ __all__ = [
     "student_t_ppf",
     "violations",
 ]
-
-_LAZY = {
-    "Replication": "repro.stats.replicate",
-    "replicate": "repro.stats.replicate",
-    "report_estimate": "repro.stats.replicate",
-    "ValidationRow": "repro.stats.validate",
-    "VerificationReport": "repro.stats.validate",
-    "run_validation": "repro.stats.validate",
-}
-
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module 'repro.stats' has no attribute "
-                             f"{name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module), name)

@@ -150,7 +150,8 @@ def perf_report() -> str:
     from repro.core.cache import registered_caches
 
     rows = []
-    for cache in registered_caches():
+    # By name: registration follows import order, which is lazy.
+    for cache in sorted(registered_caches(), key=lambda c: c.name):
         total = cache.hits + cache.misses
         rows.append([cache.name, f"{cache.hits:g}", f"{cache.misses:g}",
                      f"{len(cache):g}",

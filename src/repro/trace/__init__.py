@@ -23,13 +23,15 @@ Export for chrome://tracing / https://ui.perfetto.dev::
     write_chrome_trace(tracer.traces, "trace.json")
 """
 
-from repro.trace.capture import PATH_NODES, run_traced_verbs
-from repro.trace.export import (chrome_trace, chrome_trace_json,
-                                write_chrome_trace)
-from repro.trace.report import (Attribution, attribution_report,
-                                span_tree_text)
-from repro.trace.span import INSTANT_CATEGORIES, Span, VerbTrace
-from repro.trace.tracer import TraceError, Tracer, classify_path
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".capture": "PATH_NODES run_traced_verbs",
+    ".export": "chrome_trace chrome_trace_json write_chrome_trace",
+    ".report": "Attribution attribution_report span_tree_text",
+    ".span": "INSTANT_CATEGORIES Span VerbTrace",
+    ".tracer": "TraceError Tracer classify_path",
+})
 
 __all__ = [
     "Attribution",

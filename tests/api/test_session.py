@@ -57,6 +57,24 @@ def test_sweeps_run_through_the_session_options():
     assert timings is not None and timings.calls["solve"] >= 1
 
 
+def test_uncached_session_leaves_other_sessions_cached():
+    """``RunOptions(cache=False)`` makes that session's solves cold; it
+    does not switch the solver cache off for the rest of the process."""
+    from repro.core.throughput import RESULT_CACHE
+
+    warm = Session()
+    expected = warm.throughput_sweep("1", "read", [64, 512]).values()
+    cold = Session(options=RunOptions(cache=False))
+    lookups = RESULT_CACHE.hits + RESULT_CACHE.misses
+    assert cold.throughput_sweep("1", "read", [64, 512]).values() == expected
+    cold.throughput("1", "read", 64)
+    assert RESULT_CACHE.hits + RESULT_CACHE.misses == lookups
+    hits = RESULT_CACHE.hits
+    assert warm.throughput_sweep("1", "read", [64, 512]).values() == expected
+    Session().throughput("1", "read", 64)
+    assert RESULT_CACHE.hits == hits + 3
+
+
 def test_benches_are_lazy_and_cached(session):
     assert session.throughput_bench is session.throughput_bench
     assert session.latency_bench is session.latency_bench

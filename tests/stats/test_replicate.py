@@ -6,6 +6,7 @@ window archive the serving layer now exports.
 """
 
 import dataclasses
+import importlib
 import math
 
 import pytest
@@ -54,17 +55,43 @@ def test_second_replication_is_cache_hits(adaptive_rep):
         assert a is b   # literally the cached object
 
 
-def test_pool_matches_serial(adaptive_rep):
-    pooled = replicate("adaptive", seeds=(0, 1, 2),
-                       duration_ns=DURATION_NS, jobs=2, use_cache=False)
-    for serial, parallel in zip(adaptive_rep.reports, pooled.reports):
-        assert list(parallel.tenants) == list(serial.tenants)
-        for name in serial.tenants:
+# The module, not the ``repro.stats.replicate`` function of the same name.
+replicate_module = importlib.import_module("repro.stats.replicate")
+_RUN_ONE = replicate_module._run_one
+
+
+def _seed_marked_run(family, seed, duration_ns, engine):
+    """One replicate whose report carries its seed in ``counters``."""
+    report = _RUN_ONE(family, seed, duration_ns, engine)
+    report.counters["test.seed"] = seed
+    return report
+
+
+def test_pool_matches_serial(monkeypatch):
+    """The pool returns the serial reports, in the order seeds were given.
+
+    Every standard family gives identical reports across seeds (the seed
+    only picks addresses, and no timing model depends on the address),
+    so order would be invisible; each report is marked with its seed to
+    make the replicates differ.  Pool workers are forked, so they run
+    the marked ``_run_one`` too.
+    """
+    monkeypatch.setattr(replicate_module, "_run_one", _seed_marked_run)
+    seeds = (2, 0, 1)
+    serial = replicate("adaptive", seeds=seeds, duration_ns=100_000.0,
+                       use_cache=False)
+    pooled = replicate("adaptive", seeds=seeds, duration_ns=100_000.0,
+                       jobs=2, use_cache=False)
+    marks = [r.counters["test.seed"] for r in serial.reports]
+    assert marks == list(seeds)     # the replicates differ
+    for serial_report, parallel in zip(serial.reports, pooled.reports):
+        assert list(parallel.tenants) == list(serial_report.tenants)
+        for name in serial_report.tenants:
             assert (dataclasses.asdict(parallel.tenants[name])
-                    == dataclasses.asdict(serial.tenants[name])), name
-        assert parallel.windows == serial.windows
-        assert parallel.conservation == serial.conservation
-        assert parallel.counters == serial.counters
+                    == dataclasses.asdict(serial_report.tenants[name])), name
+        assert parallel.windows == serial_report.windows
+        assert parallel.conservation == serial_report.conservation
+        assert parallel.counters == serial_report.counters
 
 
 def test_estimates_cover_every_metric(adaptive_rep):

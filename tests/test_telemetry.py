@@ -127,3 +127,14 @@ def test_reversed_snapshot_order_error_names_both_timestamps():
     # Equal timestamps are a legal (zero-width) window, not an error.
     assert (first - CounterSnapshot(timestamp=1.0,
                                     counters={})).elapsed_ns == 0.0
+
+
+def test_perf_report_lists_caches_by_name():
+    """Caches register in import order; the report does not follow it."""
+    import repro.core.latency  # noqa: F401  (registers "latency")
+    import repro.core.throughput  # noqa: F401  ("demand", "solver")
+    from repro.telemetry import perf_report
+
+    names = [line.split()[0] for line in perf_report().splitlines()[3:]]
+    assert {"demand", "latency", "solver"} <= set(names)
+    assert names == sorted(names)
